@@ -21,7 +21,7 @@ from .analysis import (
     regret_report,
     subucb_regret_bound,
 )
-from .envs import BanditEnv, Trajectory, new_env
+from .envs import BanditEnv, Trajectory
 from .functions import (
     HarmonicInstance,
     SetFunction,
@@ -45,17 +45,11 @@ from .greedy import (
     greedy_benchmark,
 )
 from .policies import (
-    EtcgConfig,
     EtcgPolicy,
-    SubUcbConfig,
     SubUcbPolicy,
-    UcbAllConfig,
     UcbAllPolicy,
     default_m,
-    policy_config_from_json,
-    run_etcg,
-    run_sub_ucb,
-    run_ucb_all,
+    policy_from_json,
 )
 from .sets import ItemSet
 from .structure import (
@@ -74,7 +68,6 @@ __all__ = [
     "BenchmarkSummary",
     "BoundsSheet",
     "CheckpointRow",
-    "EtcgConfig",
     "EtcgPolicy",
     "GreedyChain",
     "GuaranteeResult",
@@ -83,12 +76,10 @@ __all__ = [
     "MonotoneResult",
     "RegretReport",
     "SetFunction",
-    "SubUcbConfig",
     "SubUcbPolicy",
     "SubmodularResult",
     "Tabular",
     "Trajectory",
-    "UcbAllConfig",
     "UcbAllPolicy",
     "UniqueGreedyPath",
     "WeightedCover",
@@ -111,12 +102,8 @@ __all__ = [
     "i_star",
     "kl_between",
     "minimax_lower_bound",
-    "new_env",
-    "policy_config_from_json",
+    "policy_from_json",
     "regret_report",
-    "run_etcg",
-    "run_sub_ucb",
-    "run_ucb_all",
     "spec_from_json",
     "subucb_regret_bound",
     "tabular_from_spec",

@@ -134,7 +134,3 @@ class BanditEnv:
             size = mask.bit_count()
             out[size] = out.get(size, 0) + count
         return out
-
-
-def new_env(spec: SetFunction, sigma: float = 1.0, seed: int = 0) -> BanditEnv:
-    return BanditEnv(spec, sigma, seed)

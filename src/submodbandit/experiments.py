@@ -13,25 +13,24 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .analysis import auto_stop_level, benchmark_summary, regret_report
+from .analysis import benchmark_summary, regret_report
 from .envs import BanditEnv
-from .errors import ConfigError, GroundSetTooLarge, TooManyArms
-from .functions import SetFunction, spec_from_json
-from .policies import (
-    AUTO,
-    EtcgConfig,
-    PolicyConfig,
-    SubUcbConfig,
-    UcbAllConfig,
-    default_m,
-    policy_config_from_json,
+from .errors import (
+    CardinalityExceeded,
+    ConfigError,
+    GroundSetTooLarge,
+    InvalidStopLevel,
+    OutOfRange,
+    TooManyArms,
 )
+from .functions import SetFunction, spec_from_json
+from .policies import Policy, is_int, policy_from_json
 from .structure import MAX_EXHAUSTIVE_N
 from .svgplot import RESULTS_HEADER
 
@@ -43,8 +42,7 @@ class ExperimentConfig:
     k: int
     sigma: float
     T_grid: tuple[int, ...]
-    policies: tuple[PolicyConfig, ...]
-    labels: tuple[str, ...]
+    policies: tuple[Policy, ...]
     trials: int
     base_seed: int
     checkpoints: str | tuple[int, ...]
@@ -57,10 +55,7 @@ class ExperimentConfig:
             "k": self.k,
             "sigma": self.sigma,
             "T_grid": list(self.T_grid),
-            "policies": [
-                dict(p.to_json(), label=label)
-                for p, label in zip(self.policies, self.labels)
-            ],
+            "policies": [p.to_json() for p in self.policies],
             "trials": self.trials,
             "base_seed": self.base_seed,
             "checkpoints": self.checkpoints
@@ -70,81 +65,96 @@ class ExperimentConfig:
         }
 
 
-def _default_label(cfg: PolicyConfig) -> str:
-    if isinstance(cfg, SubUcbConfig):
-        return "sub_ucb_auto" if cfg.l == AUTO else f"sub_ucb_l{cfg.l}"
-    if isinstance(cfg, EtcgConfig):
-        return "etcg"
-    if isinstance(cfg, UcbAllConfig):
-        return "ucb_all"
-    raise ConfigError(f"unknown policy config {cfg!r}")
-
-
 def config_from_json(doc: dict) -> ExperimentConfig:
-    """Validate and build a config; raises ConfigError naming the bad field."""
+    """Validate and build a config; raises ConfigError naming the bad field.
+
+    Every scalar must have its JSON type (integers are never bools, floats or
+    strings), and every policy is resolved at every horizon, so a config that
+    passes here cannot fail later on its own values.  Only the resource guards
+    (ground set size and arm count) are left to ``run_experiment``.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError("a config must be a JSON object")
 
     def need(field: str):
         if field not in doc:
             raise ConfigError(f"missing field '{field}'")
         return doc[field]
 
+    def integer(field: str, value, least: int | None = None) -> int:
+        if not is_int(value) or (least is not None and value < least):
+            bound = "" if least is None else f" >= {least}"
+            raise ConfigError(f"field '{field}': need an integer{bound}; got {value!r}")
+        return value
+
+    def integers(field: str, value) -> tuple[int, ...]:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"field '{field}': need a nonempty list of integers >= 1")
+        for entry in value:
+            integer(field, entry, 1)
+        if len(set(value)) != len(value):
+            raise ConfigError(f"field '{field}': entries must be distinct")
+        return tuple(value)
+
+    function_doc = need("function")
+    if not isinstance(function_doc, dict):
+        raise ConfigError("field 'function': need a JSON object")
     try:
-        function = spec_from_json(need("function"))
-    except (KeyError, ValueError, TypeError) as exc:
+        function = spec_from_json(function_doc)
+    except (KeyError, ValueError, TypeError, AttributeError, OutOfRange, CardinalityExceeded) as exc:
         raise ConfigError(f"field 'function': {exc}") from exc
 
-    n = need("n")
+    n = integer("n", need("n"))
     if n != function.n:
         raise ConfigError(f"field 'n': {n} disagrees with the function's n={function.n}")
-    k = need("k")
+    k = integer("k", need("k"))
     if not 1 <= k <= min(n, function.k_max):
         raise ConfigError(f"field 'k': need 1 <= k <= min(n, k_max); got {k}")
-    sigma = float(need("sigma"))
-    if sigma < 0:
-        raise ConfigError(f"field 'sigma': must be nonnegative; got {sigma}")
+    sigma = need("sigma")
+    # the upper bound also rejects inf, and NaN fails every comparison
+    if not (is_int(sigma) or isinstance(sigma, float)) or not 0 <= sigma <= sys.float_info.max:
+        raise ConfigError(f"field 'sigma': need a finite number >= 0; got {sigma!r}")
+    sigma = float(sigma)
 
-    T_grid = tuple(int(T) for T in need("T_grid"))
-    if not T_grid or any(T < 1 for T in T_grid):
-        raise ConfigError("field 'T_grid': need a nonempty list of horizons >= 1")
-    if len(set(T_grid)) != len(T_grid):
-        raise ConfigError("field 'T_grid': horizons must be distinct")
+    T_grid = integers("T_grid", need("T_grid"))
 
     raw_policies = need("policies")
-    if not raw_policies:
-        raise ConfigError("field 'policies': need at least one policy")
+    if not isinstance(raw_policies, (list, tuple)) or not raw_policies:
+        raise ConfigError("field 'policies': need a nonempty list of policy objects")
     policies = []
-    labels = []
-    for i, pdoc in enumerate(raw_policies):
-        label = pdoc.get("label")
+    for i, entry in enumerate(raw_policies):
         try:
-            cfg = policy_config_from_json({k_: v for k_, v in pdoc.items() if k_ != "label"})
-        except (ValueError, TypeError) as exc:
+            policy = policy_from_json(entry)
+        except ValueError as exc:
             raise ConfigError(f"field 'policies[{i}]': {exc}") from exc
-        if isinstance(cfg, SubUcbConfig) and cfg.l != AUTO and not 0 <= cfg.l <= k:
-            raise ConfigError(f"field 'policies[{i}]': stop level {cfg.l} outside [0, {k}]")
-        policies.append(cfg)
-        labels.append(label if label is not None else _default_label(cfg))
+        for T in T_grid:
+            try:
+                policy.resolve(n, k, T)
+            except TooManyArms:
+                pass  # a resource guard, raised by run_experiment (exit 3)
+            except (InvalidStopLevel, ValueError, OverflowError) as exc:
+                raise ConfigError(f"field 'policies[{i}]' at T_grid entry {T}: {exc}") from exc
+        policies.append(policy)
+    labels = [p.label for p in policies]
     if len(set(labels)) != len(labels):
         raise ConfigError("field 'policies': labels must be unique (set 'label' to disambiguate)")
 
-    trials = int(need("trials"))
-    if trials < 1:
-        raise ConfigError(f"field 'trials': must be >= 1; got {trials}")
-    base_seed = int(need("base_seed"))
+    trials = integer("trials", need("trials"), 1)
+    base_seed = integer("base_seed", need("base_seed"))
 
     checkpoints = doc.get("checkpoints", "log")
     if checkpoints != "log":
-        checkpoints = tuple(int(t) for t in checkpoints)
-        if not checkpoints or any(t < 1 for t in checkpoints):
-            raise ConfigError("field 'checkpoints': entries must be >= 1")
-        if len(set(checkpoints)) != len(checkpoints):
-            raise ConfigError("field 'checkpoints': entries must be distinct")
+        if isinstance(checkpoints, str):
+            raise ConfigError(f"field 'checkpoints': need \"log\" or a list; got {checkpoints!r}")
+        checkpoints = integers("checkpoints", checkpoints)
         if max(checkpoints) > min(T_grid):
             raise ConfigError(
                 "field 'checkpoints': explicit checkpoints must not exceed the smallest horizon"
             )
 
     output_dir = doc.get("output_dir", "results")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"field 'output_dir': need a string; got {output_dir!r}")
 
     return ExperimentConfig(
         function=function,
@@ -153,11 +163,10 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         sigma=sigma,
         T_grid=T_grid,
         policies=tuple(policies),
-        labels=tuple(labels),
         trials=trials,
         base_seed=base_seed,
         checkpoints=checkpoints,
-        output_dir=str(output_dir),
+        output_dir=output_dir,
     )
 
 
@@ -192,40 +201,16 @@ def checkpoint_grid(checkpoints: str | tuple[int, ...], T: int) -> tuple[int, ..
     return tuple(t for t in checkpoints)
 
 
-def resolve_policy(cfg: PolicyConfig, n: int, k: int, T: int):
-    """Resolved (l, m) for the manifest; None where not applicable."""
-    if isinstance(cfg, SubUcbConfig):
-        l = auto_stop_level(n, k, T) if cfg.l == AUTO else int(cfg.l)
-        m = cfg.m if cfg.m is not None else default_m(T, n)
-        return l, m
-    if isinstance(cfg, EtcgConfig):
-        return None, cfg.m if cfg.m is not None else default_m(T, n)
-    return None, None
-
-
-def _build_policy(cfg: PolicyConfig, k: int, T: int, l, m):
-    from .policies import EtcgPolicy, SubUcbPolicy, UcbAllPolicy
-
-    if isinstance(cfg, SubUcbConfig):
-        return SubUcbPolicy(T, k, l, m)
-    if isinstance(cfg, EtcgConfig):
-        return EtcgPolicy(T, k, m)
-    return UcbAllPolicy(T, k)
-
-
-def _run_cell(args: tuple) -> list[str]:
+def _run_cell(cell: tuple) -> list[str]:
     """Worker: one (policy, T, trial) cell; returns formatted CSV lines."""
-    (spec_doc, k, sigma, policy_doc, label, T, trial, seed, cps, l, m) = args
-    spec = spec_from_json(spec_doc)
-    cfg = policy_config_from_json(policy_doc)
+    spec, policy, k, sigma, T, trial, seed, cps = cell
     env = BanditEnv(spec, sigma, seed)
-    policy = _build_policy(cfg, k, T, l, m)
-    traj = policy.run(env)
-    report = regret_report(traj, spec, k, cps)
+    policy.run(env, k, T)
+    report = regret_report(env.trajectory, spec, k, cps)
     lines = []
     for row in report.checkpoints:
         lines.append(
-            f"{label},{T},{trial},{seed},{row.t},"
+            f"{policy.label},{T},{trial},{seed},{row.t},"
             f"{row.cum_reward:.17g},{row.regret_opt:.17g},"
             f"{row.regret_alpha:.17g},{row.regret_gr:.17g}"
         )
@@ -242,49 +227,22 @@ def run_experiment(
     """
     out = Path(output_dir if output_dir is not None else config.output_dir)
 
-    # fail fast on resource guards
+    # fail fast on resource guards: resolve() raises TooManyArms
     if config.n > MAX_EXHAUSTIVE_N:
         raise GroundSetTooLarge(f"n={config.n} exceeds {MAX_EXHAUSTIVE_N}")
-    for cfg in config.policies:
-        for T in config.T_grid:
-            arms = None
-            if isinstance(cfg, UcbAllConfig):
-                arms = math.comb(config.n, config.k)
-            elif isinstance(cfg, SubUcbConfig):
-                l, _ = resolve_policy(cfg, config.n, config.k, T)
-                arms = math.comb(config.n - l, config.k - l)
-            if arms is not None and arms > 10**6:
-                raise TooManyArms(f"policy over {arms} arms exceeds the cap")
-    benchmark_summary(config.function, config.k)  # raises GroundSetTooLarge early
-
-    spec_doc = config.function.to_json()
     cells = []
     manifest_cells = []
     # rows come out totally ordered by (policy index, T, trial, checkpoint)
-    for p_idx, (cfg, label) in enumerate(zip(config.policies, config.labels)):
+    for p_idx, policy in enumerate(config.policies):
         for T in sorted(config.T_grid):
-            l, m = resolve_policy(cfg, config.n, config.k, T)
+            l, m = policy.resolve(config.n, config.k, T)
             cps = checkpoint_grid(config.checkpoints, T)
             for trial in range(config.trials):
                 seed = derive_seed(config.base_seed, p_idx, T, trial)
-                cells.append(
-                    (
-                        spec_doc,
-                        config.k,
-                        config.sigma,
-                        cfg.to_json(),
-                        label,
-                        T,
-                        trial,
-                        seed,
-                        cps,
-                        l,
-                        m,
-                    )
-                )
+                cells.append((config.function, policy, config.k, config.sigma, T, trial, seed, cps))
                 manifest_cells.append(
                     {
-                        "policy": label,
+                        "policy": policy.label,
                         "policy_index": p_idx,
                         "T": T,
                         "trial": trial,
@@ -293,6 +251,7 @@ def run_experiment(
                         "m": m,
                     }
                 )
+    benchmark_summary(config.function, config.k)  # raises GroundSetTooLarge early
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

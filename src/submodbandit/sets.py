@@ -38,13 +38,7 @@ class ItemSet:
         return cls(0)
 
     def members(self) -> tuple[int, ...]:
-        mask = self.mask
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return tuple(out)
+        return _members(self.mask)
 
     def with_item(self, a: int) -> "ItemSet":
         return ItemSet(self.mask | (1 << a))
@@ -105,10 +99,6 @@ def _members(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
-
-
-def mask_members(mask: int) -> tuple[int, ...]:
-    return _members(mask)
 
 
 def render_mask(mask: int) -> str:

@@ -61,6 +61,14 @@ def _verify_exit(name: str) -> int:
 
 
 def test_criterion_1_structural_battery():
+    """Fails as documented.  ``UniqueGreedyPath(n, k, delta)`` is submodular
+    iff delta <= 1/(2k(2k-1)), checked for k = 2..8 at n = k + 2.  The
+    catalog default delta = 0.01 is below the threshold up to k = 5 (1/90)
+    and above it from k = 6 (1/132) on, so unique-path-6 and -7 fail.  The
+    required pattern (k <= 7 passes, k = 8 fails) holds only for delta in
+    (1/240, 1/182].  The assertion stays as stated: PAPER.md holds only the
+    abstract, so nothing from the paper fixes delta.
+    """
     start = time.time()
     must_pass = ["cover15"]
     for n, k in HARMONIC_GRID:
@@ -185,12 +193,12 @@ def test_criterion_5_zero_noise_gaps():
     for spec, k in [(harmonic_base(9, 3), 3), (experiment_cover()[0], 4)]:
         for m in (10, 100, None):
             env = BanditEnv(spec, 0.0, 0)
-            pol = SubUcbPolicy(T, k, k, m=m)
-            pol.run(env)
-            m_used = pol.resolved_m_
+            pol = SubUcbPolicy(l=k, m=m)
+            levels = pol.run(env, k, T)
+            _, m_used = pol.resolve(spec.n, k, T)
             bound = 2.0 * math.sqrt(8.0 * math.log(T) / m_used)
             prev = ItemSet.empty()
-            for level in pol.levels_:
+            for level in levels:
                 best = max(
                     evaluate(spec, prev.with_item(a))
                     for a in range(spec.n)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from submodbandit import ItemSet, Tabular
 from submodbandit.catalog import harmonic_base
 from submodbandit.cli import main
@@ -195,3 +197,85 @@ def test_run_resource_guard_exit_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", str(path))
     assert code == 3
     assert "resource guard" in err
+
+
+def _valid_run_config(tmp_path, **overrides):
+    config = {
+        "function": harmonic_base(6, 2).to_json(),
+        "n": 6,
+        "k": 2,
+        "sigma": 1.0,
+        "T_grid": [16],
+        "policies": [{"kind": "etcg", "m": 2}],
+        "trials": 1,
+        "base_seed": 5,
+        "checkpoints": "log",
+        "output_dir": str(tmp_path / "out"),
+    }
+    config.update(overrides)
+    return config
+
+
+@pytest.mark.parametrize(
+    "patch, field",
+    [
+        # policies: not a nonempty list of objects
+        ({"policies": {"kind": "etcg"}}, "policies"),
+        ({"policies": "etcg"}, "policies"),
+        ({"policies": []}, "policies"),
+        ({"policies": ["etcg"]}, "policies[0]"),
+        ({"policies": [{"kind": "etcg"}, 3]}, "policies[1]"),
+        # policies: unknown keys
+        ({"policies": [{"kind": "etcg", "mm": 3}]}, "policies[0]"),
+        ({"policies": [{"kind": "ucb_all", "m": 3}]}, "policies[0]"),
+        ({"policies": [{"kind": "sub_ucb", "l": 1, "m": 2, "extra": None}]}, "policies[0]"),
+        # policies: l not an integer in [0, k] or "auto"
+        ({"policies": [{"kind": "sub_ucb", "l": 1.5}]}, "policies[0]"),
+        ({"policies": [{"kind": "sub_ucb", "l": True}]}, "policies[0]"),
+        ({"policies": [{"kind": "sub_ucb", "l": "1"}]}, "policies[0]"),
+        ({"policies": [{"kind": "sub_ucb", "l": 3}]}, "policies[0]"),
+        ({"policies": [{"kind": "sub_ucb", "l": -1}]}, "policies[0]"),
+        # policies: m not an integer >= 1
+        ({"policies": [{"kind": "etcg", "m": 1.5}]}, "policies[0]"),
+        ({"policies": [{"kind": "etcg", "m": "3"}]}, "policies[0]"),
+        ({"policies": [{"kind": "etcg", "m": 0}]}, "policies[0]"),
+        ({"policies": [{"kind": "sub_ucb", "l": 1, "m": True}]}, "policies[0]"),
+        ({"policies": [{"kind": "etcg", "label": 7}]}, "policies[0]"),
+        # top-level integers must be JSON integers
+        ({"n": 6.0}, "n"),
+        ({"n": "6"}, "n"),
+        ({"k": "2"}, "k"),
+        ({"k": 2.0}, "k"),
+        ({"k": True}, "k"),
+        ({"trials": 0.5}, "trials"),
+        ({"trials": "1"}, "trials"),
+        ({"base_seed": 5.5}, "base_seed"),
+        ({"base_seed": "5"}, "base_seed"),
+        ({"T_grid": [16.0]}, "T_grid"),
+        ({"T_grid": ["16"]}, "T_grid"),
+        ({"T_grid": [True]}, "T_grid"),
+        ({"T_grid": 16}, "T_grid"),
+        ({"checkpoints": [1.0]}, "checkpoints"),
+        ({"checkpoints": ["1"]}, "checkpoints"),
+        ({"checkpoints": {"1": 2}}, "checkpoints"),
+        # sigma must be finite
+        ({"sigma": float("nan")}, "sigma"),
+        ({"sigma": float("inf")}, "sigma"),
+        ({"sigma": "1.0"}, "sigma"),
+        ({"sigma": True}, "sigma"),
+        # every policy resolves at every horizon during validation
+        ({"T_grid": [1], "policies": [{"kind": "etcg"}]}, "policies[0]"),
+        ({"T_grid": [1], "checkpoints": [1], "policies": [{"kind": "sub_ucb"}]}, "policies[0]"),
+        ({"output_dir": 3}, "output_dir"),
+    ],
+)
+def test_run_malformed_config_exit_2(tmp_path, capsys, patch, field):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_valid_run_config(tmp_path, **patch)))
+    code, _, err = run_cli(capsys, "run", str(path))
+    assert code == 2
+    assert f"field '{field}'" in err
+    if patch.get("T_grid") == [1]:
+        assert "T_grid" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

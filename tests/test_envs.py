@@ -3,26 +3,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from submodbandit import HarmonicInstance, ItemSet, Trajectory, evaluate, new_env
+from submodbandit import BanditEnv, HarmonicInstance, ItemSet, Trajectory, evaluate
 from submodbandit.catalog import experiment_cover
 from submodbandit.errors import CardinalityExceeded, NegativeSigma
 
 
 def test_constructor():
-    env = new_env(HarmonicInstance(6, 2, 1 / 32), 1.0, 7)
+    env = BanditEnv(HarmonicInstance(6, 2, 1 / 32), 1.0, 7)
     assert env.t == 0
     assert len(env.trajectory) == 0
     with pytest.raises(NegativeSigma):
-        new_env(HarmonicInstance(6, 2, 1 / 32), -0.1, 7)
+        BanditEnv(HarmonicInstance(6, 2, 1 / 32), -0.1, 7)
 
 
 def test_zero_noise_exactness():
     cover, _ = experiment_cover()
-    env = new_env(cover, 0.0, 0)
+    env = BanditEnv(cover, 0.0, 0)
     assert env.pull(ItemSet.of([14])) == 0.6
     assert env.pull(ItemSet.empty()) == 0.0
     h = HarmonicInstance(6, 2, 1 / 32)
-    env = new_env(h, 0.0, 1)
+    env = BanditEnv(h, 0.0, 1)
     S = ItemSet.of([0, 2])
     assert env.pull(S) == evaluate(h, S)
 
@@ -30,7 +30,7 @@ def test_zero_noise_exactness():
 def test_determinism_byte_identical():
     spec = HarmonicInstance(6, 2, 1 / 32)
     pulls = [ItemSet.of([0]), ItemSet.of([1]), ItemSet.of([0, 1]), ItemSet.of([0])]
-    envs = [new_env(spec, 1.0, 99) for _ in range(2)]
+    envs = [BanditEnv(spec, 1.0, 99) for _ in range(2)]
     for env in envs:
         for S in pulls:
             env.pull(S)
@@ -39,19 +39,19 @@ def test_determinism_byte_identical():
 
 def test_different_seeds_differ():
     spec = HarmonicInstance(6, 2, 1 / 32)
-    a = new_env(spec, 1.0, 1)
-    b = new_env(spec, 1.0, 2)
+    a = BanditEnv(spec, 1.0, 1)
+    b = BanditEnv(spec, 1.0, 2)
     assert a.pull(ItemSet.of([0])) != b.pull(ItemSet.of([0]))
 
 
 def test_cardinality_guard():
-    env = new_env(HarmonicInstance(6, 2, 1 / 32), 0.0, 0)
+    env = BanditEnv(HarmonicInstance(6, 2, 1 / 32), 0.0, 0)
     with pytest.raises(CardinalityExceeded):
         env.pull(ItemSet.of([0, 1, 2]))
 
 
 def test_counts_and_conservation():
-    env = new_env(HarmonicInstance(6, 2, 1 / 32), 1.0, 5)
+    env = BanditEnv(HarmonicInstance(6, 2, 1 / 32), 1.0, 5)
     assert env.counts_by_cardinality() == {}
     for _ in range(3):
         env.pull(ItemSet.of([0]))
@@ -62,7 +62,7 @@ def test_counts_and_conservation():
 
 def test_noise_statistics():
     spec = HarmonicInstance(6, 2, 1 / 32)
-    env = new_env(spec, 1.0, 321)
+    env = BanditEnv(spec, 1.0, 321)
     S = ItemSet.of([0, 1])
     f = evaluate(spec, S)
     residuals = np.array([env.pull(S) - f for _ in range(100_000)])
@@ -72,7 +72,7 @@ def test_noise_statistics():
 
 def test_trajectory_csv_roundtrip():
     spec = HarmonicInstance(6, 2, 1 / 32)
-    env = new_env(spec, 1.0, 17)
+    env = BanditEnv(spec, 1.0, 17)
     for S in [ItemSet.of([0]), ItemSet.of([2, 3]), ItemSet.empty()]:
         env.pull(S)
     text = env.trajectory.to_csv()
@@ -103,7 +103,7 @@ def test_trajectory_csv_rejects_bad_header():
 
 
 def test_steps_are_one_based():
-    env = new_env(HarmonicInstance(6, 2, 1 / 32), 0.0, 0)
+    env = BanditEnv(HarmonicInstance(6, 2, 1 / 32), 0.0, 0)
     env.pull(ItemSet.of([0]))
     env.pull(ItemSet.of([1]))
     steps = list(env.trajectory.steps())

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submodbandit.catalog import experiment_cover, harmonic_base
 from submodbandit.errors import ConfigError, GroundSetTooLarge, TooManyArms
@@ -9,10 +11,9 @@ from submodbandit.experiments import (
     config_from_json,
     derive_seed,
     load_config,
-    resolve_policy,
     run_experiment,
 )
-from submodbandit.policies import EtcgConfig, SubUcbConfig, UcbAllConfig
+from submodbandit.policies import EtcgPolicy, SubUcbPolicy, UcbAllPolicy
 
 
 def _base_doc(**overrides):
@@ -35,7 +36,7 @@ def _base_doc(**overrides):
 
 def test_config_roundtrip_and_defaults():
     cfg = config_from_json(_base_doc())
-    assert cfg.labels == ("etcg",)
+    assert [p.label for p in cfg.policies] == ["etcg"]
     assert cfg.checkpoints == "log"
     assert cfg.to_json()["policies"][0]["label"] == "etcg"
 
@@ -92,11 +93,11 @@ def test_derive_seed_stable():
     assert derive_seed(0, 1, 10, 0) != derive_seed(0, 0, 10, 0)
 
 
-def test_resolve_policy():
-    assert resolve_policy(SubUcbConfig(l="auto"), 15, 4, 100) == (1, 6)
-    assert resolve_policy(SubUcbConfig(l=3, m=9), 15, 4, 100) == (3, 9)
-    assert resolve_policy(EtcgConfig(), 15, 4, 100) == (None, 6)
-    assert resolve_policy(UcbAllConfig(), 15, 4, 100) == (None, None)
+def test_policy_resolve():
+    assert SubUcbPolicy(l="auto").resolve(15, 4, 100) == (1, 6)
+    assert SubUcbPolicy(l=3, m=9).resolve(15, 4, 100) == (3, 9)
+    assert EtcgPolicy().resolve(15, 4, 100) == (None, 6)
+    assert UcbAllPolicy().resolve(15, 4, 100) == (None, None)
 
 
 def test_run_experiment_row_accounting(tmp_path):
@@ -158,3 +159,56 @@ def test_run_experiment_resource_guards(tmp_path):
     cfg = config_from_json(doc)
     with pytest.raises(TooManyArms):
         run_experiment(cfg, output_dir=tmp_path)
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-2, max_value=20)
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["log", "auto", "sub_ucb", "etcg", "ucb_all"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
+
+_VALID_POLICIES = [
+    {"kind": "sub_ucb", "l": "auto"},
+    {"kind": "sub_ucb", "l": 1, "m": 2, "label": "fixed"},
+    {"kind": "etcg"},
+    {"kind": "ucb_all"},
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    field=st.sampled_from(
+        ["function", "n", "k", "sigma", "T_grid", "policies", "trials", "base_seed",
+         "checkpoints", "output_dir"]
+    ),
+    value=_json_values,
+)
+def test_config_from_json_spliced_field_only_raises_config_error(field, value):
+    doc = _base_doc(policies=_VALID_POLICIES, checkpoints=[1, 2])
+    doc[field] = value
+    try:
+        config_from_json(doc)
+    except ConfigError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    index=st.integers(min_value=0, max_value=len(_VALID_POLICIES) - 1),
+    key=st.sampled_from(["kind", "l", "m", "label", "mm"]),
+    value=_json_values,
+)
+def test_config_from_json_spliced_policy_key_only_raises_config_error(index, key, value):
+    policies = [dict(p) for p in _VALID_POLICIES]
+    policies[index][key] = value
+    try:
+        config_from_json(_base_doc(policies=policies))
+    except ConfigError:
+        pass

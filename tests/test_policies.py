@@ -14,12 +14,10 @@ from submodbandit import (
     default_m,
     evaluate,
     exact_greedy,
-    run_etcg,
-    run_sub_ucb,
-    run_ucb_all,
 )
 from submodbandit.catalog import experiment_cover, harmonic_base
 from submodbandit.errors import InvalidStopLevel, TooManyArms
+from submodbandit.policies import _flat_ucb, _superarm_masks
 
 
 def test_default_m_frozen():
@@ -34,22 +32,32 @@ def _fresh(spec, sigma, seed):
     return BanditEnv(spec, sigma, seed)
 
 
+def _trajectory(policy, env, k, T):
+    policy.run(env, k, T)
+    return env.trajectory
+
+
+def _flat_over_supersets(env, T, k, base):
+    _flat_ucb(env, _superarm_masks(env.spec.n, k, base.mask), T)
+    return env.trajectory
+
+
 def test_trajectory_length_and_cardinality():
     spec = harmonic_base(6, 2)
     for T in (1, 7, 40):
-        traj = run_sub_ucb(_fresh(spec, 1.0, 3), T, 2, 1, m=3)
+        traj = _trajectory(SubUcbPolicy(l=1, m=3), _fresh(spec, 1.0, 3), 2, T)
         assert len(traj) == T
         assert pulled_sets_ok(traj, 2)
-    traj = run_etcg(_fresh(spec, 1.0, 3), 25, 2, m=2)
+    traj = _trajectory(EtcgPolicy(m=2), _fresh(spec, 1.0, 3), 2, 25)
     assert len(traj) == 25 and pulled_sets_ok(traj, 2)
-    traj = run_ucb_all(_fresh(spec, 1.0, 3), 33, 2)
+    traj = _trajectory(UcbAllPolicy(), _fresh(spec, 1.0, 3), 2, 33)
     assert len(traj) == 33 and pulled_sets_ok(traj, 2)
 
 
 def test_sub_ucb_level_zero_equals_flat_ucb():
     spec = harmonic_base(6, 2)
-    a = run_sub_ucb(_fresh(spec, 1.0, 11), 300, 2, 0)
-    b = run_ucb_all(_fresh(spec, 1.0, 11), 300, 2)
+    a = _trajectory(SubUcbPolicy(l=0), _fresh(spec, 1.0, 11), 2, 300)
+    b = _trajectory(UcbAllPolicy(), _fresh(spec, 1.0, 11), 2, 300)
     assert a == b
 
 
@@ -57,49 +65,50 @@ def test_sub_ucb_zero_noise_matches_exact_greedy():
     for spec, k in [(harmonic_base(6, 2), 2), (experiment_cover()[0], 4)]:
         for m in (1, 5):
             env = _fresh(spec, 0.0, 0)
-            pol = SubUcbPolicy(5000, k, k, m=m)
-            pol.run(env)
-            assert pol.levels_ == list(exact_greedy(spec, k).levels)
+            levels = SubUcbPolicy(l=k, m=m).run(env, k, 5000)
+            assert levels == list(exact_greedy(spec, k).levels)
 
 
 def test_sub_ucb_budget_guard_mid_phase():
     spec = harmonic_base(6, 2)
     # T smaller than the singleton phase n*m = 60
-    traj = run_sub_ucb(_fresh(spec, 1.0, 9), 15, 2, 2, m=10)
+    traj = _trajectory(SubUcbPolicy(l=2, m=10), _fresh(spec, 1.0, 9), 2, 15)
     assert len(traj) == 15
     assert all(mask.bit_count() == 1 for mask in traj.masks())
 
 
 def test_sub_ucb_invalid_stop_level():
     with pytest.raises(InvalidStopLevel):
-        SubUcbPolicy(10, 2, 3)
+        SubUcbPolicy(l=3).resolve(6, 2, 10)
     with pytest.raises(InvalidStopLevel):
-        SubUcbPolicy(10, 2, -1)
+        SubUcbPolicy(l=3).run(_fresh(harmonic_base(6, 2), 1.0, 0), 2, 10)
+    with pytest.raises(InvalidStopLevel):
+        SubUcbPolicy(l=-1).resolve(6, 2, 10)
 
 
 def test_sub_ucb_full_stop_level_commits():
     spec = harmonic_base(6, 2)
     env = _fresh(spec, 0.0, 2)
-    pol = SubUcbPolicy(100, 2, 2, m=2)
-    traj = pol.run(env)
+    levels = SubUcbPolicy(l=2, m=2).run(env, 2, 100)
+    traj = env.trajectory
     # once both levels are fixed, the single super-arm is the chain's top set
-    assert traj.masks()[-1] == pol.levels_[-1].mask
+    assert traj.masks()[-1] == levels[-1].mask
     assert len(set(traj.masks()[-20:])) == 1
 
 
 def test_etcg_zero_noise_commit():
     cover, k = experiment_cover()
     env = _fresh(cover, 0.0, 1)
-    pol = EtcgPolicy(200, k, m=1)
-    traj = pol.run(env)
-    assert [lvl.render() for lvl in pol.levels_] == ["14", "10,14", "0,10,14", "0,5,10,14"]
+    levels = EtcgPolicy(m=1).run(env, k, 200)
+    traj = env.trajectory
+    assert [lvl.render() for lvl in levels] == ["14", "10,14", "0,10,14", "0,5,10,14"]
     assert traj.masks()[-1] == ItemSet.of([0, 5, 10, 14]).mask
     assert evaluate(cover, ItemSet(traj.masks()[-1])) == pytest.approx(1.0)
 
 
 def test_etcg_truncated_exploration():
     spec = harmonic_base(6, 2)
-    traj = run_etcg(_fresh(spec, 1.0, 4), 8, 2, m=3)
+    traj = _trajectory(EtcgPolicy(m=3), _fresh(spec, 1.0, 4), 2, 8)
     assert len(traj) == 8
     # never got past level 1: only singletons pulled
     assert all(mask.bit_count() == 1 for mask in traj.masks())
@@ -107,21 +116,21 @@ def test_etcg_truncated_exploration():
 
 def test_etcg_repeat_runs_identical():
     spec = harmonic_base(6, 2)
-    t1 = run_etcg(_fresh(spec, 1.0, 12), 60, 2, m=2)
-    t2 = run_etcg(_fresh(spec, 1.0, 12), 60, 2, m=2)
+    t1 = _trajectory(EtcgPolicy(m=2), _fresh(spec, 1.0, 12), 2, 60)
+    t2 = _trajectory(EtcgPolicy(m=2), _fresh(spec, 1.0, 12), 2, 60)
     assert t1 == t2
 
 
 def test_ucb_all_single_arm():
     spec = harmonic_base(6, 2)
     base = ItemSet.of([0, 1])
-    traj = run_ucb_all(_fresh(spec, 1.0, 5), 20, 2, base=base)
+    traj = _flat_over_supersets(_fresh(spec, 1.0, 5), 20, 2, base)
     assert traj.masks() == [base.mask] * 20
 
 
 def test_ucb_all_initialization_round():
     spec = HarmonicInstance(4, 2, 1 / 32)
-    traj = run_ucb_all(_fresh(spec, 1.0, 8), 6, 2)
+    traj = _trajectory(UcbAllPolicy(), _fresh(spec, 1.0, 8), 2, 6)
     assert sorted(traj.masks()) == sorted(
         (1 << a) | (1 << b) for a in range(4) for b in range(a + 1, 4)
     )
@@ -133,7 +142,7 @@ def test_ucb_all_log_growth_of_worse_arm():
     spec = Tabular(2, 1, {0: 0.0, 1: 0.6, 2: 0.1})
     T = 10_000
     env = _fresh(spec, 0.0, 0)
-    traj = run_ucb_all(env, T, 1)
+    traj = _trajectory(UcbAllPolicy(), env, 1, T)
     worse = env.pull_counts[0b10]
     assert worse <= 32 * math.log(T) + 1
     assert env.pull_counts[0b01] > worse
@@ -142,7 +151,7 @@ def test_ucb_all_log_growth_of_worse_arm():
 def test_ucb_all_best_arm_dominates_counts():
     cover, k = experiment_cover()
     env = _fresh(cover, 0.0, 3)
-    run_ucb_all(env, 10_000, k, base=ItemSet.of([0, 5, 10]))
+    _flat_over_supersets(env, 10_000, k, ItemSet.of([0, 5, 10]))
     counts = env.pull_counts
     best_mask = ItemSet.of([0, 5, 10, 14]).mask
     assert counts[best_mask] == max(counts.values())
@@ -152,13 +161,13 @@ def test_ucb_all_best_arm_dominates_counts():
 def test_ucb_all_too_many_arms():
     spec = HarmonicInstance(60, 5, 1 / 200)
     with pytest.raises(TooManyArms):
-        run_ucb_all(_fresh(spec, 1.0, 0), 10, 5)
+        _trajectory(UcbAllPolicy(), _fresh(spec, 1.0, 0), 5, 10)
 
 
 def test_policies_deterministic_given_seed():
     spec = harmonic_base(9, 3)
-    a = run_sub_ucb(_fresh(spec, 1.0, 77), 400, 3, 2, m=4)
-    b = run_sub_ucb(_fresh(spec, 1.0, 77), 400, 3, 2, m=4)
+    a = _trajectory(SubUcbPolicy(l=2, m=4), _fresh(spec, 1.0, 77), 3, 400)
+    b = _trajectory(SubUcbPolicy(l=2, m=4), _fresh(spec, 1.0, 77), 3, 400)
     assert a == b
 
 
@@ -167,9 +176,9 @@ def test_cardinality_above_ground_set_rejected():
     from submodbandit.errors import CardinalityExceeded
 
     with pytest.raises(CardinalityExceeded):
-        run_ucb_all(_fresh(spec, 1.0, 0), 10, 7)
+        _trajectory(UcbAllPolicy(), _fresh(spec, 1.0, 0), 7, 10)
     with pytest.raises(CardinalityExceeded):
-        run_etcg(_fresh(spec, 1.0, 0), 10, 7, m=1)
+        _trajectory(EtcgPolicy(m=1), _fresh(spec, 1.0, 0), 7, 10)
 
 
 def test_greedy_levels_beat_flat_ucb_at_desk_scale():
@@ -183,9 +192,9 @@ def test_greedy_levels_beat_flat_ucb_at_desk_scale():
         for trial in range(10):
             env = _fresh(cover, 1.0, 5000 + trial)
             if policy_kind == "greedy":
-                SubUcbPolicy(T, k, 2).run(env)
+                SubUcbPolicy(l=2).run(env, k, T)
             else:
-                UcbAllPolicy(T, k).run(env)
+                UcbAllPolicy().run(env, k, T)
             totals.append(sum(evaluate(cover, ItemSet(m)) for m in env.trajectory.masks()))
         summary_gaps.append(sum(totals) / len(totals))
     greedy_reward, flat_reward = summary_gaps
@@ -204,11 +213,10 @@ def test_zero_noise_level_gap_bound():
     for spec, k in small:
         for m in (2, 10):
             env = _fresh(spec, 0.0, 0)
-            pol = SubUcbPolicy(T, k, k, m=m)
-            pol.run(env)
+            levels = SubUcbPolicy(l=k, m=m).run(env, k, T)
             bound = 2 * math.sqrt(8 * math.log(T) / m)
             prev = ItemSet.empty()
-            for lvl in pol.levels_:
+            for lvl in levels:
                 best = max(
                     evaluate(spec, prev.with_item(a))
                     for a in range(spec.n)
@@ -217,3 +225,21 @@ def test_zero_noise_level_gap_bound():
                 gap = best - evaluate(spec, lvl)
                 assert gap <= min(bound, 1e-12)
                 prev = lvl
+
+
+def test_policy_json_roundtrip_and_default_labels():
+    import pickle
+
+    from submodbandit import policy_from_json
+
+    cases = [
+        (SubUcbPolicy(), {"kind": "sub_ucb", "l": "auto", "label": "sub_ucb_auto"}),
+        (SubUcbPolicy(l=2, m=5), {"kind": "sub_ucb", "l": 2, "m": 5, "label": "sub_ucb_l2"}),
+        (EtcgPolicy(), {"kind": "etcg", "label": "etcg"}),
+        (UcbAllPolicy(label="flat"), {"kind": "ucb_all", "label": "flat"}),
+    ]
+    for policy, doc in cases:
+        assert policy.to_json() == doc
+        assert policy_from_json(doc) == policy
+        assert pickle.loads(pickle.dumps(policy)) == policy
+    assert policy_from_json({"kind": "etcg", "m": 3}) == EtcgPolicy(m=3, label="etcg")
