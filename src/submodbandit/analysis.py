@@ -16,11 +16,10 @@ The closed-form evaluators (``i_star``, ``minimax_lower_bound``,
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .envs import Trajectory
+from .envs import BanditEnv
 from .errors import CheckpointOutOfRange, PreconditionViolated, ZeroSigma
 from .functions import SetFunction
 from .greedy import GreedyChain, brute_force_opt, greedy_benchmark
@@ -123,7 +122,7 @@ def compute_bounds(n: int, k: int, T: int, l: int | None = None) -> BoundsSheet:
 
 @dataclass(frozen=True)
 class BenchmarkSummary:
-    """Exact benchmarks of a spec at cardinality k, cached per content."""
+    """Exact benchmarks of a spec at cardinality k."""
 
     opt_set: ItemSet
     f_star: float
@@ -133,30 +132,22 @@ class BenchmarkSummary:
     benchmark_chain: GreedyChain
 
 
-_BENCH_CACHE: dict[tuple, BenchmarkSummary] = {}
-_BENCH_LOCK = threading.Lock()
-
-
 def benchmark_summary(spec: SetFunction, k: int) -> BenchmarkSummary:
-    key = spec.cache_key() + ("summary", k)
-    with _BENCH_LOCK:
-        cached = _BENCH_CACHE.get(key)
-    if cached is not None:
-        return cached
-    opt_set, f_star = brute_force_opt(spec, k)
-    c = curvature(spec, k)
-    bench = greedy_benchmark(spec, k)
-    summary = BenchmarkSummary(
-        opt_set=opt_set,
-        f_star=f_star,
-        curvature=c,
-        alpha=approx_ratio(c),
-        benchmark=bench.value,
-        benchmark_chain=bench.chain,
-    )
-    with _BENCH_LOCK:
-        _BENCH_CACHE.setdefault(key, summary)
-    return summary
+    """Exact benchmarks, computed once per spec instance and kept in its memo."""
+    key = ("benchmark_summary", k)
+    if key not in spec.memo:
+        opt_set, f_star = brute_force_opt(spec, k)
+        c = curvature(spec, k)
+        bench = greedy_benchmark(spec, k)
+        spec.memo[key] = BenchmarkSummary(
+            opt_set=opt_set,
+            f_star=f_star,
+            curvature=c,
+            alpha=approx_ratio(c),
+            benchmark=bench.value,
+            benchmark_chain=bench.chain,
+        )
+    return spec.memo[key]
 
 
 @dataclass(frozen=True)
@@ -177,25 +168,25 @@ class RegretReport:
 
 
 def regret_report(
-    traj: Trajectory, spec: SetFunction, k: int, checkpoints: Iterable[int]
+    env: BanditEnv, summary: BenchmarkSummary, checkpoints: Iterable[int]
 ) -> RegretReport:
-    """Pseudo-regret against the optimum, its ratio-scaled value and B."""
+    """Pseudo-regret of ``env``'s trajectory against the optimum, its
+    ratio-scaled value and B, all taken from ``summary``.
+
+    Pulled values are read through ``env.value_of_mask``, so the env's cache
+    is the only point cache a cell keeps.
+    """
+    traj = env.trajectory
     cps = sorted(set(int(t) for t in checkpoints))
     if cps and (cps[0] < 1 or cps[-1] > len(traj)):
         raise CheckpointOutOfRange(
             f"checkpoints must lie in [1, {len(traj)}]; got {cps[0]}..{cps[-1]}"
         )
-    summary = benchmark_summary(spec, k)
     rows = []
     want = set(cps)
     cum = 0.0
-    cache: dict[int, float] = {}
     for t, mask in enumerate(traj.masks(), start=1):
-        v = cache.get(mask)
-        if v is None:
-            v = spec.value_of_mask(mask)
-            cache[mask] = v
-        cum += v
+        cum += env.value_of_mask(mask)
         if t in want:
             rows.append(
                 CheckpointRow(

@@ -35,7 +35,7 @@ from .errors import (
     TooManyArms,
 )
 from .experiments import load_config, run_experiment
-from .functions import SetFunction, spec_from_json, tabular_from_spec
+from .functions import SetFunction, is_int, spec_from_json, tabular_from_spec
 from .sets import render_mask
 from .svgplot import render_results_svg
 from .verify import all_ok, format_table, run_checks
@@ -61,16 +61,15 @@ def _load_target(target: str) -> tuple[str, SetFunction, int]:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{target}: line {exc.lineno}: {exc.msg}") from exc
-    if "function" in doc:
-        spec = spec_from_json(doc["function"])
-        k = int(doc.get("k", spec.k_max))
-    else:
-        spec = spec_from_json(doc)
-        k = spec.k_max
+    wrapped = isinstance(doc, dict) and "function" in doc
     try:
-        k = int(k)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{target}: bad k") from exc
+        spec = spec_from_json(doc["function"] if wrapped else doc)
+    except (ValueError, OutOfRange, CardinalityExceeded) as exc:
+        where = "field 'function': " if wrapped else ""
+        raise ConfigError(f"{target}: {where}{exc}") from exc
+    k = doc.get("k", spec.k_max) if wrapped else spec.k_max
+    if not is_int(k):
+        raise ConfigError(f"{target}: field 'k': need an integer; got {k!r}")
     return str(target), spec, k
 
 

@@ -3,9 +3,10 @@
 A run is a grid of cells (policy, horizon, trial).  Each cell derives its
 seed from a stable 64-bit hash of (base_seed, policy index, T, trial), runs
 its policy against a fresh environment and reports pseudo-regret at the
-requested checkpoints.  Cells are independent, so they may be executed in
-any order or in parallel; results are merged in (policy, T, trial,
-checkpoint) order and written with 17 significant digits, which makes
+requested checkpoints against the exact benchmarks, which the run computes
+once and hands to every cell.  Cells are independent, so they may be
+executed in any order or in parallel; results are merged in (policy, T,
+trial, checkpoint) order and written with 17 significant digits, which makes
 results.csv byte-identical across runs and across worker counts.
 """
 
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,8 +29,8 @@ from .errors import (
     OutOfRange,
     TooManyArms,
 )
-from .functions import SetFunction, spec_from_json
-from .policies import Policy, is_int, policy_from_json
+from .functions import SetFunction, is_finite_number, is_int, spec_from_json
+from .policies import Policy, policy_from_json
 from .structure import MAX_EXHAUSTIVE_N
 from .svgplot import RESULTS_HEADER
 
@@ -96,12 +96,9 @@ def config_from_json(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"field '{field}': entries must be distinct")
         return tuple(value)
 
-    function_doc = need("function")
-    if not isinstance(function_doc, dict):
-        raise ConfigError("field 'function': need a JSON object")
     try:
-        function = spec_from_json(function_doc)
-    except (KeyError, ValueError, TypeError, AttributeError, OutOfRange, CardinalityExceeded) as exc:
+        function = spec_from_json(need("function"))
+    except (ValueError, OutOfRange, CardinalityExceeded) as exc:
         raise ConfigError(f"field 'function': {exc}") from exc
 
     n = integer("n", need("n"))
@@ -111,8 +108,7 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     if not 1 <= k <= min(n, function.k_max):
         raise ConfigError(f"field 'k': need 1 <= k <= min(n, k_max); got {k}")
     sigma = need("sigma")
-    # the upper bound also rejects inf, and NaN fails every comparison
-    if not (is_int(sigma) or isinstance(sigma, float)) or not 0 <= sigma <= sys.float_info.max:
+    if not is_finite_number(sigma) or sigma < 0:
         raise ConfigError(f"field 'sigma': need a finite number >= 0; got {sigma!r}")
     sigma = float(sigma)
 
@@ -203,10 +199,10 @@ def checkpoint_grid(checkpoints: str | tuple[int, ...], T: int) -> tuple[int, ..
 
 def _run_cell(cell: tuple) -> list[str]:
     """Worker: one (policy, T, trial) cell; returns formatted CSV lines."""
-    spec, policy, k, sigma, T, trial, seed, cps = cell
+    spec, summary, policy, k, sigma, T, trial, seed, cps = cell
     env = BanditEnv(spec, sigma, seed)
     policy.run(env, k, T)
-    report = regret_report(env.trajectory, spec, k, cps)
+    report = regret_report(env, summary, cps)
     lines = []
     for row in report.checkpoints:
         lines.append(
@@ -227,31 +223,37 @@ def run_experiment(
     """
     out = Path(output_dir if output_dir is not None else config.output_dir)
 
-    # fail fast on resource guards: resolve() raises TooManyArms
+    # resource guards fail fast, cheapest first: the n cap, then resolve()
+    # (TooManyArms), then the exact benchmarks every cell reports against
     if config.n > MAX_EXHAUSTIVE_N:
         raise GroundSetTooLarge(f"n={config.n} exceeds {MAX_EXHAUSTIVE_N}")
+    # rows come out totally ordered by (policy index, T, trial, checkpoint)
+    grid = [
+        (p_idx, policy, T, *policy.resolve(config.n, config.k, T))
+        for p_idx, policy in enumerate(config.policies)
+        for T in sorted(config.T_grid)
+    ]
+    summary = benchmark_summary(config.function, config.k)
     cells = []
     manifest_cells = []
-    # rows come out totally ordered by (policy index, T, trial, checkpoint)
-    for p_idx, policy in enumerate(config.policies):
-        for T in sorted(config.T_grid):
-            l, m = policy.resolve(config.n, config.k, T)
-            cps = checkpoint_grid(config.checkpoints, T)
-            for trial in range(config.trials):
-                seed = derive_seed(config.base_seed, p_idx, T, trial)
-                cells.append((config.function, policy, config.k, config.sigma, T, trial, seed, cps))
-                manifest_cells.append(
-                    {
-                        "policy": policy.label,
-                        "policy_index": p_idx,
-                        "T": T,
-                        "trial": trial,
-                        "seed": seed,
-                        "l": l,
-                        "m": m,
-                    }
-                )
-    benchmark_summary(config.function, config.k)  # raises GroundSetTooLarge early
+    for p_idx, policy, T, l, m in grid:
+        cps = checkpoint_grid(config.checkpoints, T)
+        for trial in range(config.trials):
+            seed = derive_seed(config.base_seed, p_idx, T, trial)
+            cells.append(
+                (config.function, summary, policy, config.k, config.sigma, T, trial, seed, cps)
+            )
+            manifest_cells.append(
+                {
+                    "policy": policy.label,
+                    "policy_index": p_idx,
+                    "T": T,
+                    "trial": trial,
+                    "seed": seed,
+                    "l": l,
+                    "m": m,
+                }
+            )
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

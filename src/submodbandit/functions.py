@@ -14,27 +14,52 @@ Four families are supported:
   (either the prefix chain itself, or a planted chain through items >= k).
 
 All values live in [0, 1] and the empty set is worth 0 for the structured
-families.  Every spec is immutable and usable as a cache key.
+families.  Every spec is immutable; the tables derived from it (the dense
+value table, the exact benchmarks) live in its own ``memo``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import CardinalityExceeded, OutOfRange
-from .sets import ItemSet, render_mask
+from .sets import ItemSet, masks_upto, render_mask
 
 
-def _popcount(mask: int) -> int:
-    return mask.bit_count()
+def is_int(value) -> bool:
+    """True for a JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """True for a JSON number (not a bool) that a float holds finitely."""
+    return (is_int(value) or isinstance(value, float)) and (
+        -sys.float_info.max <= value <= sys.float_info.max
+    )
 
 
 class SetFunction:
-    """Base class; concrete specs implement ``_value`` on raw masks."""
+    """Base class; concrete specs implement ``_value`` on raw masks.
+
+    ``memo`` is one dict per instance for tables derived from the spec.  It
+    sits in the instance ``__dict__``, which a frozen dataclass leaves
+    writable, and pickling drops it, so a spec sent to a worker process
+    carries only its own fields.
+    """
 
     n: int
+
+    @property
+    def memo(self) -> dict:
+        return self.__dict__.setdefault("_memo", {})
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_memo", None)
+        return state
 
     @property
     def k_max(self) -> int:
@@ -47,14 +72,11 @@ class SetFunction:
         """Validated evaluation on a raw bit mask."""
         if mask >> self.n:
             raise OutOfRange(f"set {render_mask(mask)} has items >= n={self.n}")
-        if _popcount(mask) > self.k_max:
+        if mask.bit_count() > self.k_max:
             raise CardinalityExceeded(
-                f"|S|={_popcount(mask)} exceeds k_max={self.k_max}"
+                f"|S|={mask.bit_count()} exceeds k_max={self.k_max}"
             )
         return self._value(mask)
-
-    def cache_key(self) -> tuple:
-        raise NotImplementedError
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -90,7 +112,7 @@ class Tabular(SetFunction):
         for mask, v in self.table.items():
             if mask >> self.n:
                 raise OutOfRange(f"table key {render_mask(mask)} exceeds n={self.n}")
-            if _popcount(mask) > self.k_max_:
+            if mask.bit_count() > self.k_max_:
                 raise CardinalityExceeded(
                     f"table key {render_mask(mask)} larger than k_max={self.k_max_}"
                 )
@@ -109,9 +131,6 @@ class Tabular(SetFunction):
 
     def _value(self, mask: int) -> float:
         return self.table[mask]
-
-    def cache_key(self) -> tuple:
-        return ("tabular", self.n, self.k_max_, tuple(sorted(self.table.items())))
 
     def to_json(self) -> dict:
         table = {
@@ -148,10 +167,10 @@ class WeightedCover(SetFunction):
             if bmask & seen:
                 raise ValueError("blocks must be disjoint")
             seen |= bmask
-        if seen != (1 << self.n) - 1:
+        if seen.bit_count() != self.n:
             raise ValueError("blocks must cover the whole ground set")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
+        if not all(0 <= w < math.inf for w in self.weights):
+            raise ValueError("weights must be finite and nonnegative")
         if sum(self.weights) > 1.0 + 1e-12:
             raise ValueError("weights must sum to at most 1")
         object.__setattr__(
@@ -170,9 +189,6 @@ class WeightedCover(SetFunction):
             if mask & bmask:
                 total += w
         return total
-
-    def cache_key(self) -> tuple:
-        return ("weighted_cover", self.n, self.blocks, self.weights)
 
     def to_json(self) -> dict:
         return {
@@ -199,8 +215,8 @@ class UniqueGreedyPath(SetFunction):
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= k <= n; got k={self.k}, n={self.n}")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be finite and positive; got {self.delta}")
         object.__setattr__(
             self,
             "_base",
@@ -212,14 +228,11 @@ class UniqueGreedyPath(SetFunction):
         return self.k
 
     def _value(self, mask: int) -> float:
-        s = _popcount(mask)
+        s = mask.bit_count()
         base = self._base[s]
         if mask == (1 << s) - 1:
             return base
         return base - self.delta
-
-    def cache_key(self) -> tuple:
-        return ("unique_greedy_path", self.n, self.k, self.delta)
 
     def to_json(self) -> dict:
         return {
@@ -251,8 +264,8 @@ class HarmonicInstance(SetFunction):
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= k <= n; got k={self.k}, n={self.n}")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be finite and positive; got {self.delta}")
         if (self.prefix_len is None) != (self.tail is None):
             raise ValueError("prefix_len and tail must be given together")
         if self.tail is not None:
@@ -273,7 +286,7 @@ class HarmonicInstance(SetFunction):
             mask = (1 << p) - 1
             for a in self.tail:
                 mask |= 1 << a
-                chain[_popcount(mask)] = mask
+                chain[mask.bit_count()] = mask
             if p == self.k:
                 chain[self.k] = mask  # planted chain degenerates to the prefix
             object.__setattr__(self, "_chain_masks", chain)
@@ -302,7 +315,7 @@ class HarmonicInstance(SetFunction):
         return self.k
 
     def _value(self, mask: int) -> float:
-        s = _popcount(mask)
+        s = mask.bit_count()
         base = self._base[s]
         if self.tail is not None:
             planted = self._chain_masks.get(s)
@@ -313,9 +326,6 @@ class HarmonicInstance(SetFunction):
         if s == self.k:
             return base - self.delta
         return base - self.delta / self.k
-
-    def cache_key(self) -> tuple:
-        return ("harmonic", self.n, self.k, self.delta, self.prefix_len, self.tail)
 
     def to_json(self) -> dict:
         doc = {
@@ -331,43 +341,110 @@ class HarmonicInstance(SetFunction):
         return doc
 
 
-def spec_from_json(doc: dict) -> SetFunction:
-    """Rebuild a spec from its JSON form (see each class's ``to_json``)."""
-    kind = doc.get("kind")
-    if kind == "tabular":
-        table = {ItemSet.parse(key).mask: float(v) for key, v in doc["table"].items()}
-        return Tabular(int(doc["n"]), int(doc["k_max"]), table)
-    if kind == "weighted_cover":
-        return WeightedCover(
-            int(doc["n"]),
-            tuple(tuple(int(a) for a in b) for b in doc["blocks"]),
-            tuple(float(w) for w in doc["weights"]),
+_FIELDS = {
+    "tabular": ("n", "k_max", "table"),
+    "weighted_cover": ("n", "blocks", "weights"),
+    "unique_greedy_path": ("n", "k", "delta"),
+    "harmonic": ("n", "k", "delta", "variant"),
+    "harmonic elevated": ("n", "k", "delta", "variant", "prefix_len", "tail"),
+}
+
+
+def _field(doc: dict, key: str, ok, need: str):
+    if key not in doc:
+        raise ValueError(f"missing field '{key}'")
+    value = doc[key]
+    if not ok(value):
+        raise ValueError(f"field '{key}': need {need}; got {value!r}")
+    return value
+
+
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(is_int(a) for a in value)
+
+
+def _table_mask(key, bound: int) -> int:
+    """Mask of a table key: sorted, distinct, comma-joined items below ``bound``."""
+    try:
+        items = [int(part) for part in key.split(",")] if key else []
+    except (AttributeError, ValueError):
+        items = None
+    if (
+        items is None
+        or ",".join(map(str, items)) != key
+        or items != sorted(set(items))
+        or any(not 0 <= a < bound for a in items)
+    ):
+        raise ValueError(
+            f"field 'table': key {key!r} is not a sorted, comma-joined list of "
+            "distinct items of a complete table"
         )
-    if kind == "unique_greedy_path":
-        return UniqueGreedyPath(int(doc["n"]), int(doc["k"]), float(doc["delta"]))
+    return sum(1 << a for a in items)
+
+
+def spec_from_json(doc) -> SetFunction:
+    """Rebuild a spec from its JSON form (see each class's ``to_json``).
+
+    The decode is strict: the document is an object holding exactly the keys
+    of its kind (and harmonic variant), integer fields are JSON integers and
+    float fields finite numbers (JSON integers are stored as floats).  A
+    violation raises ValueError naming the field; the constructors then check
+    the values themselves.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a function must be a JSON object; got {type(doc).__name__}")
+    kind = doc.get("kind")
+    variant = None
     if kind == "harmonic":
-        variant = doc.get("variant", "base")
-        if variant == "base":
-            return HarmonicInstance(int(doc["n"]), int(doc["k"]), float(doc["delta"]))
-        if variant == "elevated":
-            return HarmonicInstance(
-                int(doc["n"]),
-                int(doc["k"]),
-                float(doc["delta"]),
-                int(doc["prefix_len"]),
-                tuple(int(a) for a in doc["tail"]),
-            )
-        raise ValueError(f"unknown harmonic variant {variant!r}")
-    raise ValueError(f"unknown spec kind {kind!r}")
+        variant = _field(
+            doc, "variant", lambda v: v in ("base", "elevated"), "'base' or 'elevated'"
+        )
+    name = "harmonic elevated" if variant == "elevated" else kind
+    allowed = _FIELDS.get(name) if isinstance(name, str) else None
+    if allowed is None:
+        raise ValueError(f"field 'kind': unknown spec kind {kind!r}")
+    unknown = [key for key in doc if key != "kind" and key not in allowed]
+    if unknown:
+        raise ValueError(f"field {unknown[0]!r}: not a field of a {kind} function")
+    n = _field(doc, "n", is_int, "an integer")
+    if kind == "tabular":
+        k_max = _field(doc, "k_max", is_int, "an integer")
+        table = _field(doc, "table", lambda t: isinstance(t, dict), "an object")
+        # a complete table lists every singleton, so its items lie below its size
+        bound = min(n, len(table))
+        values = {}
+        for key, v in table.items():
+            if not is_finite_number(v):
+                raise ValueError(
+                    f"field 'table': value of {key!r}: need a finite number; got {v!r}"
+                )
+            values[_table_mask(key, bound)] = float(v)
+        return Tabular(n, k_max, values)
+    if kind == "weighted_cover":
+        blocks = _field(
+            doc, "blocks", lambda b: isinstance(b, list) and all(map(_int_list, b)),
+            "a list of lists of integers",
+        )
+        weights = _field(
+            doc, "weights", lambda w: isinstance(w, list) and all(map(is_finite_number, w)),
+            "a list of finite numbers",
+        )
+        return WeightedCover(n, tuple(tuple(b) for b in blocks), tuple(map(float, weights)))
+    k = _field(doc, "k", is_int, "an integer")
+    delta = float(_field(doc, "delta", is_finite_number, "a finite number"))
+    if kind == "unique_greedy_path":
+        return UniqueGreedyPath(n, k, delta)
+    if variant == "base":
+        return HarmonicInstance(n, k, delta)
+    return HarmonicInstance(
+        n,
+        k,
+        delta,
+        _field(doc, "prefix_len", is_int, "an integer"),
+        tuple(_field(doc, "tail", _int_list, "a list of integers")),
+    )
 
 
 def tabular_from_spec(spec: SetFunction, k: int) -> Tabular:
     """Materialize any spec as an explicit Tabular copy up to cardinality k."""
-    from itertools import combinations
-
-    table = {}
-    for size in range(k + 1):
-        for combo in combinations(range(spec.n), size):
-            mask = sum(1 << a for a in combo)
-            table[mask] = spec.value_of_mask(mask)
-    return Tabular(spec.n, k, table)
+    return Tabular(spec.n, k, {mask: spec.value_of_mask(mask) for mask in masks_upto(spec.n, k)})

@@ -21,21 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .errors import CardinalityExceeded, GroundSetTooLarge
+from .errors import CardinalityExceeded
 from .functions import SetFunction
-from .sets import ItemSet, sort_key
-from .structure import (
-    MAX_EXHAUSTIVE_N,
-    approx_ratio,
-    best_extension_table,
-    curvature,
-    popcounts,
-    value_table,
-)
+from .sets import ItemSet, masks_upto, sort_key
+from .structure import approx_ratio, best_extension_table, curvature, value_table
 
 
 @dataclass(frozen=True)
@@ -115,18 +107,9 @@ def exact_greedy(spec: SetFunction, k: int) -> GreedyChain:
 def brute_force_opt(spec: SetFunction, k: int) -> tuple[ItemSet, float]:
     """Exact maximizer over all |S| <= k; ties go to the canonically first set."""
     vals = value_table(spec, k)
-    best_mask = 0
-    best_v = vals[0]
-    for size in range(1, k + 1):
-        for combo in combinations(range(spec.n), size):
-            mask = 0
-            for a in combo:
-                mask |= 1 << a
-            v = vals[mask]
-            if v > best_v:
-                best_v = v
-                best_mask = mask
-    return ItemSet(best_mask), float(best_v)
+    masks = np.fromiter(masks_upto(spec.n, k), dtype=np.int64)
+    best = int(masks[np.argmax(vals[masks])])  # argmax keeps the first maximum
+    return ItemSet(best), float(vals[best])
 
 
 @dataclass(frozen=True)
@@ -148,44 +131,36 @@ def greedy_benchmark(spec: SetFunction, k: int) -> BenchmarkResult:
     vals = value_table(spec, k)
     n = spec.n
     best = best_extension_table(vals, n, k)
-    size_of = popcounts(n)
     G = np.full(1 << n, np.inf)
     G[0] = 0.0
     parent = np.zeros(1 << n, dtype=np.int64)
-
-    masks_by_size = [[] for _ in range(k + 1)]
-    for size in range(k + 1):
-        for combo in combinations(range(n), size):
-            mask = 0
-            for a in combo:
-                mask |= 1 << a
-            masks_by_size[size].append(mask)
-
-    for size in range(1, k + 1):
-        for mask in masks_by_size[size]:
-            best_cost = math.inf
-            best_prev = -1
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                prev = mask ^ low
-                cost = G[prev] + max(0.0, float(best[prev] - vals[mask]))
-                if cost < best_cost or (
-                    cost == best_cost and sort_key(prev) < sort_key(best_prev)
-                ):
-                    best_cost = cost
-                    best_prev = prev
-            G[mask] = best_cost
-            parent[mask] = best_prev
-
     best_total = math.inf
     best_final = -1
-    for mask in masks_by_size[k]:
-        total = float(G[mask] + vals[mask])
-        if total < best_total:
-            best_total = total
-            best_final = mask
+
+    # sort_key order: every predecessor is final before its supersets
+    for mask in masks_upto(n, k):
+        if not mask:
+            continue
+        best_cost = math.inf
+        best_prev = -1
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            prev = mask ^ low
+            cost = G[prev] + max(0.0, float(best[prev] - vals[mask]))
+            if cost < best_cost or (
+                cost == best_cost and sort_key(prev) < sort_key(best_prev)
+            ):
+                best_cost = cost
+                best_prev = prev
+        G[mask] = best_cost
+        parent[mask] = best_prev
+        if mask.bit_count() == k:
+            total = float(best_cost + vals[mask])
+            if total < best_total:
+                best_total = total
+                best_final = mask
 
     levels = []
     mask = best_final
@@ -282,8 +257,6 @@ def check_approx_guarantee(
     This is the curvature-corrected greedy guarantee; it must hold for every
     chain of a monotone submodular function, whatever its slacks.
     """
-    if spec.n > MAX_EXHAUSTIVE_N:
-        raise GroundSetTooLarge(f"n={spec.n} exceeds the exhaustive cap")
     final = chain.final_set()
     lhs = spec.value_of_mask(final.mask) + chain.total_slack()
     c = curvature(spec, k)

@@ -46,16 +46,12 @@ import numpy as np
 from .analysis import auto_stop_level
 from .envs import BanditEnv
 from .errors import CardinalityExceeded, InvalidStopLevel, TooManyArms
+from .functions import is_int
 from .sets import ItemSet, sort_key
 
 MAX_ARMS = 10**6
 
 AUTO = "auto"
-
-
-def is_int(value) -> bool:
-    """True for a JSON integer: an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def default_m(T: int, n: int) -> int:

@@ -8,6 +8,7 @@ equal regardless of construction order.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Iterator
 
 
@@ -23,6 +24,9 @@ class ItemSet:
 
     def __setattr__(self, name, value):
         raise AttributeError("ItemSet is immutable")
+
+    def __reduce__(self):
+        return (ItemSet, (self.mask,))
 
     @classmethod
     def of(cls, items: Iterable[int]) -> "ItemSet":
@@ -90,6 +94,13 @@ class ItemSet:
 def sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
     """Canonical ordering: by cardinality, then lexicographic member tuple."""
     return (mask.bit_count(), _members(mask))
+
+
+def masks_upto(n: int, k: int) -> Iterator[int]:
+    """Every mask over n items with popcount <= k, in ``sort_key`` order."""
+    for size in range(k + 1):
+        for combo in combinations(range(n), size):
+            yield sum(1 << a for a in combo)
 
 
 def _members(mask: int) -> tuple[int, ...]:

@@ -2,8 +2,11 @@
 
 Everything here enumerates subsets exhaustively, so the ground set is capped
 at n <= 24.  Values are materialized once into a dense table indexed by bit
-mask (NaN above the cardinality cap) and the checks run vectorized over that
-table.
+mask (NaN above the cardinality cap) and the checks run vectorized over the
+sets within the cap.  The table is kept in the spec's own ``memo``, so it
+lives exactly as long as the spec does; ``popcounts`` and
+``best_extension_table`` are rebuilt on each call, since keeping them would
+hold two more 2^n arrays per spec.
 
 Submodularity is checked through the pairwise condition
 
@@ -23,12 +26,10 @@ import numpy as np
 
 from .errors import CardinalityExceeded, GroundSetTooLarge
 from .functions import SetFunction
-from .sets import ItemSet
+from .sets import ItemSet, masks_upto
 
 MAX_EXHAUSTIVE_N = 24
 CHECK_TOL = 1e-12
-
-_TABLE_CACHE: dict[tuple, np.ndarray] = {}
 
 
 def _guard(spec: SetFunction, k: int) -> None:
@@ -52,18 +53,18 @@ def popcounts(n: int) -> np.ndarray:
 def value_table(spec: SetFunction, k: int) -> np.ndarray:
     """Dense table of f over all masks with popcount <= k (NaN elsewhere)."""
     _guard(spec, k)
-    key = spec.cache_key() + ("table", k)
-    cached = _TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    n = spec.n
-    pc = popcounts(n)
-    vals = np.full(1 << n, np.nan)
-    for mask in range(1 << n):
-        if pc[mask] <= k:
+    key = ("value_table", k)
+    if key not in spec.memo:
+        vals = np.full(1 << spec.n, np.nan)
+        for mask in masks_upto(spec.n, k):
             vals[mask] = spec._value(mask)
-    _TABLE_CACHE[key] = vals
-    return vals
+        spec.memo[key] = vals
+    return spec.memo[key]
+
+
+def _mask_array(n: int, size: int) -> np.ndarray:
+    """``masks_upto(n, size)`` as an int64 array, for the vectorized checks."""
+    return np.fromiter(masks_upto(n, size), dtype=np.int64)
 
 
 def best_extension_table(vals: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -95,24 +96,17 @@ def check_monotone(spec: SetFunction, k: int, tol: float = CHECK_TOL) -> Monoton
     """ok iff f(A) <= f(A + a) + tol for all |A| < k, a not in A."""
     vals = value_table(spec, k)
     n = spec.n
-    pc = popcounts(n)
-    idx = np.arange(1 << n, dtype=np.int64)
-    violated = False
+    small = _mask_array(n, k - 1)
     for a in range(n):
         bit = 1 << a
-        base = (idx & bit == 0) & (pc <= k - 1)
-        masks = idx[base]
+        masks = small[small & bit == 0]
         if np.any(vals[masks | bit] < vals[masks] - tol):
-            violated = True
-            break
-    if not violated:
-        return MonotoneResult(True)
-    witness = _monotone_witness(vals, n, k, tol)
-    return MonotoneResult(False, witness)
+            return MonotoneResult(False, _monotone_witness(vals, n, k, tol))
+    return MonotoneResult(True)
 
 
 def _monotone_witness(vals, n, k, tol):
-    for mask, _size in _masks_canonical(n, k - 1):
+    for mask in masks_upto(n, k - 1):
         for a in range(n):
             bit = 1 << a
             if mask & bit:
@@ -130,30 +124,21 @@ def check_submodular(spec: SetFunction, k: int, tol: float = CHECK_TOL) -> Submo
     """
     vals = value_table(spec, k)
     n = spec.n
-    pc = popcounts(n)
-    idx = np.arange(1 << n, dtype=np.int64)
-    violated = False
+    small = _mask_array(n, k - 2)
     for a in range(n):
-        if violated:
-            break
         abit = 1 << a
         for b in range(a + 1, n):
             bbit = 1 << b
-            base = (idx & (abit | bbit) == 0) & (pc <= k - 2)
-            masks = idx[base]
+            masks = small[small & (abit | bbit) == 0]
             lhs = vals[masks | abit] + vals[masks | bbit]
             rhs = vals[masks | abit | bbit] + vals[masks]
             if np.any(lhs < rhs - tol):
-                violated = True
-                break
-    if not violated:
-        return SubmodularResult(True)
-    witness = _submodular_witness(vals, n, k, tol)
-    return SubmodularResult(False, witness)
+                return SubmodularResult(False, _submodular_witness(vals, n, k, tol))
+    return SubmodularResult(True)
 
 
 def _submodular_witness(vals, n, k, tol):
-    for mask, _size in _masks_canonical(n, k - 2):
+    for mask in masks_upto(n, k - 2):
         for a in range(n):
             abit = 1 << a
             if mask & abit:
@@ -180,16 +165,14 @@ def curvature(spec: SetFunction, k: int) -> float:
     """
     vals = value_table(spec, k)
     n = spec.n
-    pc = popcounts(n)
-    idx = np.arange(1 << n, dtype=np.int64)
+    small = _mask_array(n, k - 1)
     worst = np.inf
     for a in range(n):
         bit = 1 << a
         single = vals[bit]
         if single <= 0.0:
             continue
-        base = (idx & bit == 0) & (pc <= k - 1)
-        masks = idx[base]
+        masks = small[small & bit == 0]
         if masks.size == 0:
             continue
         ratios = (vals[masks | bit] - vals[masks]) / single
@@ -206,12 +189,3 @@ def approx_ratio(c: float) -> float:
     if c == 0.0:
         return 1.0
     return (1.0 - math.exp(-c)) / c
-
-
-def _masks_canonical(n: int, max_size: int):
-    """Masks of popcount <= max_size in (size, lexicographic members) order."""
-    from itertools import combinations
-
-    for size in range(max(max_size, -1) + 1):
-        for combo in combinations(range(n), size):
-            yield sum(1 << a for a in combo), size

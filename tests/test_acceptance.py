@@ -23,6 +23,7 @@ from submodbandit import (
     SubUcbPolicy,
     approx_ratio,
     auto_stop_level,
+    benchmark_summary,
     brute_force_opt,
     chain_from_order,
     check_approx_guarantee,
@@ -172,7 +173,7 @@ def test_criterion_4_regret_identity():
             items = rng.choice(n, size=size, replace=False)
             env.pull(ItemSet.of(int(a) for a in items))
         cps = [t for t in (1, 2, 4, 8, 16, 32, T) if t <= T]
-        rep = regret_report(env.trajectory, spec, k, cps)
+        rep = regret_report(env, benchmark_summary(spec, k), cps)
         values = [spec.value_of_mask(m) for m in env.trajectory.masks()]
         for row in rep.checkpoints:
             cum = sum(values[: row.t], 0.0)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -88,7 +90,7 @@ def test_regret_report_optimal_play():
     summary = benchmark_summary(spec, 2)
     for _ in range(50):
         env.pull(summary.opt_set)
-    rep = regret_report(env.trajectory, spec, 2, [1, 2, 50])
+    rep = regret_report(env, summary, [1, 2, 50])
     for row in rep.checkpoints:
         assert row.regret_opt == pytest.approx(0.0, abs=1e-12)
         assert row.regret_alpha <= row.regret_opt + 1e-12
@@ -100,7 +102,7 @@ def test_regret_report_constant_play_identity():
     S = ItemSet.of([0, 2])
     for _ in range(100):
         env.pull(S)
-    rep = regret_report(env.trajectory, spec, 2, [100])
+    rep = regret_report(env, benchmark_summary(spec, 2), [100])
     B = greedy_benchmark(spec, 2).value
     row = rep.checkpoints[0]
     assert rep.benchmark == pytest.approx(B, abs=1e-15)
@@ -113,7 +115,7 @@ def test_regret_report_alpha_below_opt():
     env = BanditEnv(spec, 1.0, 9)
     for _ in range(64):
         env.pull(ItemSet.of([0]))
-    rep = regret_report(env.trajectory, spec, 3, [1, 2, 4, 8, 16, 32, 64])
+    rep = regret_report(env, benchmark_summary(spec, 3), [1, 2, 4, 8, 16, 32, 64])
     for row in rep.checkpoints:
         assert row.regret_alpha <= row.regret_opt + 1e-12
 
@@ -122,13 +124,14 @@ def test_regret_report_empty_checkpoints_and_errors():
     spec = harmonic_base(6, 2)
     env = BanditEnv(spec, 0.0, 0)
     env.pull(ItemSet.of([0]))
-    rep = regret_report(env.trajectory, spec, 2, [])
+    summary = benchmark_summary(spec, 2)
+    rep = regret_report(env, summary, [])
     assert rep.checkpoints == ()
     assert rep.f_star > 0
     with pytest.raises(CheckpointOutOfRange):
-        regret_report(env.trajectory, spec, 2, [2])
+        regret_report(env, summary, [2])
     with pytest.raises(CheckpointOutOfRange):
-        regret_report(env.trajectory, spec, 2, [0])
+        regret_report(env, summary, [0])
 
 
 def test_kl_basics():
@@ -193,5 +196,22 @@ def test_kl_closed_form_small():
 def test_benchmark_summary_cached():
     spec = harmonic_base(9, 3)
     a = benchmark_summary(spec, 3)
+    assert benchmark_summary(spec, 3) is a  # kept in the instance's memo
     b = benchmark_summary(HarmonicInstance(9, 3, 1 / 72), 3)
-    assert a is b  # content-addressed cache
+    assert b == a  # an equal-content instance computes an equal summary
+
+
+def test_benchmark_summary_leaves_pickled_spec_unchanged():
+    spec = random_monotone_submodular(11, n=7, k=3)
+    before = pickle.dumps(spec)
+    benchmark_summary(spec, 3)
+    assert spec.memo  # the summary and the value table are memoized ...
+    assert pickle.dumps(spec) == before  # ... but never pickled
+    assert pickle.loads(before).memo == {}
+
+
+def test_summary_and_chain_survive_pickle_and_deepcopy():
+    summary = benchmark_summary(harmonic_elevated(9, 3), 3)
+    for obj in (summary.opt_set, summary.benchmark_chain, summary):
+        assert pickle.loads(pickle.dumps(obj)) == obj
+        assert copy.deepcopy(obj) == obj

@@ -73,6 +73,50 @@ def test_verify_spec_file(tmp_path, capsys):
     assert "monotone" in out
 
 
+def _spec_file_doc(case):
+    harmonic = harmonic_base(6, 2).to_json()
+    cover = {"kind": "weighted_cover", "n": 2, "blocks": [[0], [1]], "weights": [0.5, 0.5]}
+    docs = {
+        "no-n": {"function": {key: v for key, v in harmonic.items() if key != "n"}, "k": 2},
+        "top-level-list": [1],
+        "k-null": {"function": harmonic, "k": None},
+        "k-float": {"function": harmonic, "k": 2.0},
+        "n-and-k-fractional": {"function": dict(harmonic, n=6.9, k=2.7), "k": 2.7},
+        "delta-nan": {"function": dict(harmonic, delta=float("nan")), "k": 2},
+        "delta-bool": {"function": dict(harmonic, delta=True), "k": 2},
+        "unknown-key": {"function": dict(cover, bogus=1), "k": 1},
+        "weight-inf": dict(cover, weights=[0.5, float("inf")]),
+        "table-key": {"kind": "tabular", "n": 1, "k_max": 1, "table": {"": 0.0, "00": 0.5}},
+    }
+    return docs[case]
+
+
+@pytest.mark.parametrize("command", ["verify", "instance"])
+@pytest.mark.parametrize(
+    "case, field",
+    [
+        ("no-n", "'n'"),
+        ("top-level-list", "JSON object"),
+        ("k-null", "'k'"),
+        ("k-float", "'k'"),
+        ("n-and-k-fractional", "'n'"),
+        ("delta-nan", "'delta'"),
+        ("delta-bool", "'delta'"),
+        ("unknown-key", "'bogus'"),
+        ("weight-inf", "'weights'"),
+        ("table-key", "'table'"),
+    ],
+)
+def test_malformed_spec_file_exit_2(tmp_path, capsys, command, case, field):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_spec_file_doc(case)))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert field in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_instance_dump_and_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "instance", "harmonic-base-6-2")
     assert code == 0

@@ -1,10 +1,12 @@
+import copy
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submodbandit.catalog import experiment_cover, harmonic_base
+from conftest import random_monotone_submodular
+from submodbandit.catalog import experiment_cover, harmonic_base, harmonic_elevated
 from submodbandit.errors import ConfigError, GroundSetTooLarge, TooManyArms
 from submodbandit.experiments import (
     checkpoint_grid,
@@ -13,6 +15,7 @@ from submodbandit.experiments import (
     load_config,
     run_experiment,
 )
+from submodbandit.functions import UniqueGreedyPath, WeightedCover, tabular_from_spec
 from submodbandit.policies import EtcgPolicy, SubUcbPolicy, UcbAllPolicy
 
 
@@ -137,12 +140,20 @@ def test_run_experiment_records_auto_level(tmp_path):
 
 
 def test_run_experiment_deterministic_across_jobs(tmp_path):
-    doc = _base_doc(T_grid=[32], trials=4, policies=[{"kind": "sub_ucb", "l": 1, "m": 2}])
-    cfg = config_from_json(doc)
-    r1, m1 = run_experiment(cfg, jobs=1, output_dir=tmp_path / "a")
-    r2, m2 = run_experiment(cfg, jobs=4, output_dir=tmp_path / "b")
-    assert r1.read_bytes() == r2.read_bytes()
-    assert m1.read_bytes() == m2.read_bytes()
+    harmonic = _base_doc(T_grid=[32], trials=4, policies=[{"kind": "sub_ucb", "l": 1, "m": 2}])
+    tabular = dict(
+        harmonic,
+        function=random_monotone_submodular(17, n=8, k=3).to_json(),
+        n=8,
+        k=3,
+        policies=[{"kind": "sub_ucb", "l": 2, "m": 2}, {"kind": "etcg", "m": 1}],
+    )
+    for name, doc in (("harmonic", harmonic), ("tabular", tabular)):
+        cfg = config_from_json(doc)
+        r1, m1 = run_experiment(cfg, jobs=1, output_dir=tmp_path / name / "a")
+        r2, m2 = run_experiment(cfg, jobs=4, output_dir=tmp_path / name / "b")
+        assert r1.read_bytes() == r2.read_bytes()
+        assert m1.read_bytes() == m2.read_bytes()
 
 
 def test_run_experiment_resource_guards(tmp_path):
@@ -212,3 +223,40 @@ def test_config_from_json_spliced_policy_key_only_raises_config_error(index, key
         config_from_json(_base_doc(policies=policies))
     except ConfigError:
         pass
+
+
+_VALID_FUNCTIONS = [
+    tabular_from_spec(harmonic_base(6, 2), 2).to_json(),
+    WeightedCover(6, ((0, 1), (2, 3, 4), (5,)), (0.2, 0.3, 0.5)).to_json(),
+    UniqueGreedyPath(6, 2, 0.01).to_json(),
+    harmonic_base(6, 2).to_json(),
+    harmonic_elevated(6, 2).to_json(),
+]
+
+
+@st.composite
+def _spliced_functions(draw):
+    """A valid n=6 function doc with arbitrary JSON spliced in at one place."""
+    doc = copy.deepcopy(draw(st.sampled_from(_VALID_FUNCTIONS)))
+    paths = [(key,) for key in doc] + [("bogus",)]
+    for key, value in doc.items():
+        if isinstance(value, list):
+            paths.append((key, 0))
+        if isinstance(value, dict):
+            paths += [(key, "0,1"), (key, "1,0"), (key, "")]
+    *parents, last = draw(st.sampled_from(paths))
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[last] = draw(_json_values)
+    return doc
+
+
+@settings(max_examples=500, deadline=None)
+@given(function=_spliced_functions())
+def test_config_from_json_spliced_function_key_only_raises_config_error(function):
+    try:
+        config = config_from_json(_base_doc(function=function))
+    except ConfigError:
+        return
+    assert config.function.to_json() == function

@@ -1,8 +1,12 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from submodbandit import ItemSet
+from submodbandit.sets import masks_upto, sort_key
 
 
 def test_equality_is_order_independent():
@@ -54,3 +58,17 @@ def test_roundtrip_members(items):
     assert ItemSet.of(s.members()) == s
     assert ItemSet.parse(s.render()) == s
     assert len(s) == len(items)
+
+
+def test_pickle_and_deepcopy_roundtrip():
+    s = ItemSet.of([1, 2])
+    for again in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+        assert again == s and type(again) is ItemSet
+    with pytest.raises(AttributeError):
+        pickle.loads(pickle.dumps(s)).mask = 0
+
+
+@given(st.integers(min_value=0, max_value=10), st.integers(min_value=-2, max_value=12))
+def test_masks_upto_is_every_small_mask_in_sort_key_order(n, k):
+    expected = sorted((m for m in range(1 << n) if m.bit_count() <= k), key=sort_key)
+    assert list(masks_upto(n, k)) == expected
