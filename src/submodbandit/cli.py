@@ -14,7 +14,7 @@ Subcommands:
 * ``instance TARGET``   -- dump the full value table of a spec as CSV.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource
-guard (ground set or arm count too large).
+guard (feasible sets times n, or arms, over budget).
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ from .errors import (
     TooManyArms,
 )
 from .experiments import load_config, run_experiment
-from .functions import SetFunction, is_int, spec_from_json, tabular_from_spec
+from .functions import SetFunction, is_int, spec_from_json
 from .sets import render_mask
+from .structure import value_table
 from .svgplot import render_results_svg
 from .verify import all_ok, format_table, run_checks
 
@@ -122,10 +123,11 @@ def cmd_plot(args) -> int:
 
 def cmd_instance(args) -> int:
     label, spec, k = _load_target(args.target)
-    table = tabular_from_spec(spec, k)
+    table = value_table(spec, k)
+    values = dict(zip(table.masks, table.values.tolist()))
     print("set,value")
-    for mask in sorted(table.table, key=lambda m: (m.bit_count(), render_mask(m))):
-        print(f'"{render_mask(mask)}",{table.table[mask]:.17g}')
+    for mask in sorted(values, key=lambda m: (m.bit_count(), render_mask(m))):
+        print(f'"{render_mask(mask)}",{values[mask]:.17g}')
     return EXIT_OK
 
 

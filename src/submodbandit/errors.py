@@ -14,7 +14,7 @@ class CardinalityExceeded(SubmodBanditError):
 
 
 class GroundSetTooLarge(SubmodBanditError):
-    """Exhaustive operations are capped at n <= 24."""
+    """The feasible sets (size <= k) times n exceed the exhaustive table's budget."""
 
 
 class NegativeSigma(SubmodBanditError):

@@ -24,14 +24,12 @@ from .envs import BanditEnv
 from .errors import (
     CardinalityExceeded,
     ConfigError,
-    GroundSetTooLarge,
     InvalidStopLevel,
     OutOfRange,
     TooManyArms,
 )
 from .functions import SetFunction, is_finite_number, is_int, spec_from_json
 from .policies import Policy, policy_from_json
-from .structure import MAX_EXHAUSTIVE_N
 from .svgplot import RESULTS_HEADER
 
 
@@ -223,10 +221,8 @@ def run_experiment(
     """
     out = Path(output_dir if output_dir is not None else config.output_dir)
 
-    # resource guards fail fast, cheapest first: the n cap, then resolve()
-    # (TooManyArms), then the exact benchmarks every cell reports against
-    if config.n > MAX_EXHAUSTIVE_N:
-        raise GroundSetTooLarge(f"n={config.n} exceeds {MAX_EXHAUSTIVE_N}")
+    # resource guards fail fast, cheapest first: resolve() (TooManyArms), then
+    # the feasible-set budget of the exact benchmarks every cell reports against
     # rows come out totally ordered by (policy index, T, trial, checkpoint)
     grid = [
         (p_idx, policy, T, *policy.resolve(config.n, config.k, T))

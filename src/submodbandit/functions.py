@@ -14,8 +14,9 @@ Four families are supported:
   (either the prefix chain itself, or a planted chain through items >= k).
 
 All values live in [0, 1] and the empty set is worth 0 for the structured
-families.  Every spec is immutable; the tables derived from it (the dense
-value table, the exact benchmarks) live in its own ``memo``.
+families.  Every spec is immutable; the tables derived from it (the
+rank-indexed table of the feasible sets, the exact benchmarks) live in its
+own ``memo``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import CardinalityExceeded, OutOfRange
-from .sets import ItemSet, masks_upto, render_mask
+from .sets import ItemSet, feasible_count, masks_upto, render_mask
 
 
 def is_int(value) -> bool:
@@ -103,7 +104,7 @@ class Tabular(SetFunction):
     def __post_init__(self):
         if not 0 <= self.k_max_ <= self.n:
             raise ValueError(f"k_max must lie in [0, n]; got {self.k_max_}")
-        expected = sum(math.comb(self.n, i) for i in range(self.k_max_ + 1))
+        expected = feasible_count(self.n, self.k_max_)
         if len(self.table) != expected:
             raise ValueError(
                 f"table has {len(self.table)} entries; a complete table up to "

@@ -11,10 +11,13 @@ value-plus-slack any chain can achieve,
 
     B = min over chains of [ f(S(k)) + sum_i eps_i ],
 
-computed exactly by dynamic programming over subsets (the chain cost
-decomposes over consecutive levels, so a min over predecessors per subset is
-exact).  ``enumerate_benchmark`` recomputes the same minimum by walking every
-ordered chain and exists as an independent cross-check of the DP.
+computed exactly by dynamic programming over the feasible sets (the chain
+cost decomposes over consecutive levels, so a min over predecessors per set
+is exact).  ``enumerate_benchmark`` recomputes the same minimum by walking
+every ordered chain and exists as an independent cross-check of the DP.
+Every routine here walks the rank-indexed table of ``structure.value_table``:
+a chain step S -> S + a is ``extend[rank(S), a]`` and the best marginal of S
+is ``best_extension[rank(S)]``.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CardinalityExceeded
+from .errors import CardinalityExceeded, OutOfRange
 from .functions import SetFunction
-from .sets import ItemSet, masks_upto, sort_key
-from .structure import approx_ratio, best_extension_table, curvature, value_table
+from .sets import ItemSet
+from .structure import approx_ratio, curvature, value_table
 
 
 @dataclass(frozen=True)
@@ -63,18 +66,20 @@ def chain_from_order(spec: SetFunction, k: int, order: tuple[int, ...]) -> Greed
     """Build the chain that adds ``order`` one item at a time, with its slacks."""
     if len(order) != k:
         raise ValueError(f"order must list exactly k={k} items")
-    vals = value_table(spec, k)
-    best = best_extension_table(vals, spec.n, k)
+    table = value_table(spec, k)
+    best = table.best_extension
     levels = []
     eps = []
-    mask = 0
+    r = 0
     for a in order:
-        new = mask | (1 << a)
-        if new == mask:
+        if not 0 <= a < spec.n:
+            raise OutOfRange(f"item {a} outside [0, {spec.n})")
+        grown = int(table.extend[r, a])
+        if grown < 0:
             raise ValueError(f"item {a} repeated in order")
-        eps.append(max(0.0, float(best[mask] - vals[new])))
-        mask = new
-        levels.append(ItemSet(mask))
+        eps.append(max(0.0, float(best[r] - table.values[grown])))
+        r = grown
+        levels.append(ItemSet(table.masks[r]))
     return GreedyChain(tuple(levels), tuple(eps))
 
 
@@ -82,34 +87,20 @@ def exact_greedy(spec: SetFunction, k: int) -> GreedyChain:
     """Greedy chain under the true function; ties go to the lowest item."""
     if k > spec.n:
         raise CardinalityExceeded(f"k={k} exceeds the ground set size n={spec.n}")
-    vals = value_table(spec, k)
-    n = spec.n
+    table = value_table(spec, k)
     levels = []
-    eps = []
-    mask = 0
+    r = 0
     for _ in range(k):
-        best_a = -1
-        best_v = -math.inf
-        for a in range(n):
-            bit = 1 << a
-            if mask & bit:
-                continue
-            v = vals[mask | bit]
-            if v > best_v:
-                best_v = v
-                best_a = a
-        mask |= 1 << best_a
-        levels.append(ItemSet(mask))
-        eps.append(0.0)
-    return GreedyChain(tuple(levels), tuple(eps))
+        r = int(table.extend[r, np.argmax(table.grown(r))])  # argmax keeps the first maximum
+        levels.append(ItemSet(table.masks[r]))
+    return GreedyChain(tuple(levels), (0.0,) * k)
 
 
 def brute_force_opt(spec: SetFunction, k: int) -> tuple[ItemSet, float]:
     """Exact maximizer over all |S| <= k; ties go to the canonically first set."""
-    vals = value_table(spec, k)
-    masks = np.fromiter(masks_upto(spec.n, k), dtype=np.int64)
-    best = int(masks[np.argmax(vals[masks])])  # argmax keeps the first maximum
-    return ItemSet(best), float(vals[best])
+    table = value_table(spec, k)
+    r = int(np.argmax(table.values))  # argmax keeps the first maximum
+    return ItemSet(table.masks[r]), float(table.values[r])
 
 
 @dataclass(frozen=True)
@@ -119,62 +110,50 @@ class BenchmarkResult:
 
 
 def greedy_benchmark(spec: SetFunction, k: int) -> BenchmarkResult:
-    """min over chains of f(final) + total slack, by subset DP.
+    """min over chains of f(final) + total slack, by DP over the feasible sets.
 
     G(S) is the cheapest accumulated slack of any chain ending at S;
     G(S) = min_{a in S} [ G(S - a) + max(0, best_ext(S - a) - f(S)) ] and the
-    benchmark is min over |S| = k of G(S) + f(S).  Back-pointers recover a
-    witness chain; ties resolve to the canonically smallest predecessor.
+    benchmark is min over |S| = k of G(S) + f(S).  Each level is relaxed
+    forward from the one below; back-pointers recover a witness chain, and
+    ties resolve to the predecessor of smallest rank, the canonically first.
     """
+    table = value_table(spec, k)
     if k == 0:
-        return BenchmarkResult(float(value_table(spec, 0)[0]), GreedyChain((), ()))
-    vals = value_table(spec, k)
-    n = spec.n
-    best = best_extension_table(vals, n, k)
-    G = np.full(1 << n, np.inf)
+        return BenchmarkResult(float(table.values[0]), GreedyChain((), ()))
+    vals, best = table.values, table.best_extension
+    G = np.full(len(vals), np.inf)
     G[0] = 0.0
-    parent = np.zeros(1 << n, dtype=np.int64)
-    best_total = math.inf
-    best_final = -1
+    parent = np.full(len(vals), -1)
+    for size in range(k):
+        level = table.level(size)
+        ranks = np.arange(level.start, level.stop)
+        for b in range(spec.n):
+            # S -> S + b is one-to-one for a fixed b, so the scatter is safe
+            grown = table.extend[ranks, b]
+            keep = grown >= 0
+            src, dst = ranks[keep], grown[keep]
+            cost = G[src] + np.maximum(0.0, best[src] - vals[dst])
+            wins = (cost < G[dst]) | ((cost == G[dst]) & (src < parent[dst]))
+            G[dst[wins]] = cost[wins]
+            parent[dst[wins]] = src[wins]
 
-    # sort_key order: every predecessor is final before its supersets
-    for mask in masks_upto(n, k):
-        if not mask:
-            continue
-        best_cost = math.inf
-        best_prev = -1
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            prev = mask ^ low
-            cost = G[prev] + max(0.0, float(best[prev] - vals[mask]))
-            if cost < best_cost or (
-                cost == best_cost and sort_key(prev) < sort_key(best_prev)
-            ):
-                best_cost = cost
-                best_prev = prev
-        G[mask] = best_cost
-        parent[mask] = best_prev
-        if mask.bit_count() == k:
-            total = float(best_cost + vals[mask])
-            if total < best_total:
-                best_total = total
-                best_final = mask
-
-    levels = []
-    mask = best_final
-    while mask:
-        levels.append(mask)
-        mask = int(parent[mask])
-    levels.reverse()
+    top = table.level(k)
+    totals = G[top] + vals[top]
+    i = int(np.argmin(totals))  # argmin keeps the first minimum
+    path = []
+    r = top.start + i
+    while r:
+        path.append(r)
+        r = int(parent[r])
+    path.reverse()
     eps = []
     prev = 0
-    for mask in levels:
-        eps.append(max(0.0, float(best[prev] - vals[mask])))
-        prev = mask
-    chain = GreedyChain(tuple(ItemSet(m) for m in levels), tuple(eps))
-    return BenchmarkResult(best_total, chain)
+    for r in path:
+        eps.append(max(0.0, float(best[prev] - vals[r])))
+        prev = r
+    chain = GreedyChain(tuple(ItemSet(table.masks[r]) for r in path), tuple(eps))
+    return BenchmarkResult(float(totals[i]), chain)
 
 
 def enumerate_benchmark(
@@ -191,55 +170,54 @@ def enumerate_benchmark(
     deterministic random sample of orders is costed instead; the result is
     then an upper bound on the benchmark rather than the exact minimum.
     """
+    table = value_table(spec, k)
     if k == 0:
-        return BenchmarkResult(float(value_table(spec, 0)[0]), GreedyChain((), ()))
+        return BenchmarkResult(float(table.values[0]), GreedyChain((), ()))
     n = spec.n
-    total_orders = math.perm(n, k)
-    vals = value_table(spec, k)
-    best = best_extension_table(vals, n, k)
+    # plain lists: the walk reads one entry at a time
+    vals = table.values.tolist()
+    best = table.best_extension.tolist()
+    extend = table.extend.tolist()
 
     best_cost = math.inf
     best_order: tuple[int, ...] | None = None
 
-    if max_chains is not None and total_orders > max_chains:
+    if max_chains is not None and math.perm(n, k) > max_chains:
         rng = np.random.default_rng(sample_seed)
         for _ in range(sample_size):
             order = tuple(int(a) for a in rng.permutation(n)[:k])
-            cost, _ = _order_cost(order, vals, best)
+            r = 0
+            cost = 0.0
+            for a in order:
+                grown = extend[r][a]
+                cost += max(0.0, best[r] - vals[grown])
+                r = grown
+            cost += vals[r]
             if cost < best_cost:
                 best_cost = cost
                 best_order = order
     else:
         stack = [(0, 0.0, ())]
         while stack:
-            mask, acc, order = stack.pop()
+            r, acc, order = stack.pop()
             if len(order) == k:
-                cost = acc + float(vals[mask])
+                cost = acc + vals[r]
                 if cost < best_cost or (
                     cost == best_cost and order < best_order
                 ):
                     best_cost = cost
                     best_order = order
                 continue
+            row = extend[r]
             for a in range(n - 1, -1, -1):
-                bit = 1 << a
-                if mask & bit:
+                grown = row[a]
+                if grown < 0:
                     continue
-                slack = max(0.0, float(best[mask] - vals[mask | bit]))
-                stack.append((mask | bit, acc + slack, order + (a,)))
+                slack = max(0.0, best[r] - vals[grown])
+                stack.append((grown, acc + slack, order + (a,)))
 
     chain = chain_from_order(spec, k, best_order)
     return BenchmarkResult(best_cost, chain)
-
-
-def _order_cost(order, vals, best):
-    mask = 0
-    acc = 0.0
-    for a in order:
-        new = mask | (1 << a)
-        acc += max(0.0, float(best[mask] - vals[new]))
-        mask = new
-    return acc + float(vals[mask]), mask
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ equal regardless of construction order.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -94,6 +95,11 @@ class ItemSet:
 def sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
     """Canonical ordering: by cardinality, then lexicographic member tuple."""
     return (mask.bit_count(), _members(mask))
+
+
+def feasible_count(n: int, k: int) -> int:
+    """Number of subsets of size <= k of n items (0 for k < 0)."""
+    return sum(math.comb(n, i) for i in range(k + 1))
 
 
 def masks_upto(n: int, k: int) -> Iterator[int]:

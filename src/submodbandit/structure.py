@@ -1,83 +1,99 @@
-"""Structural property checks for set functions on small ground sets.
+"""Structural property checks over the feasible sets of a spec.
 
-Everything here enumerates subsets exhaustively, so the ground set is capped
-at n <= 24.  Values are materialized once into a dense table indexed by bit
-mask (NaN above the cardinality cap) and the checks run vectorized over the
-sets within the cap.  The table is kept in the spec's own ``memo``, so it
-lives exactly as long as the spec does; ``popcounts`` and
-``best_extension_table`` are rebuilt on each call, since keeping them would
-hold two more 2^n arrays per spec.
+The feasible sets are the subsets of size <= k.  ``value_table(spec, k)``
+lists them once, in ``masks_upto`` order, as a :class:`FeasibleTable`
+indexed by rank: the masks, their values and, for every set S with |S| < k,
+the rank of S + b for each item b.  Every exhaustive computation (the checks
+below, the greedy chains and the benchmark DP) is a gather over that one
+index, so the work grows with the number of feasible sets rather than with
+2^n, and masks stay Python ints, so n > 62 is fine.  The table is kept in the
+spec's own ``memo``.  Its only resource guard is a budget on the number of
+feasible sets times n, checked before any value is computed.
 
 Submodularity is checked through the pairwise condition
 
-    f(S + a) + f(S + b) >= f(S + a + b) + f(S)
+    f(S + a) - f(S) >= f(S + b + a) - f(S + b)
 
 which is equivalent to the usual diminishing-returns inequality on the
 truncated domain (telescope from A to B one element at a time; every
-intermediate set stays within the cardinality cap).
+intermediate set stays within the cardinality cap).  A failing check names
+the first violation in (rank, a[, b]) order as its witness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CardinalityExceeded, GroundSetTooLarge
 from .functions import SetFunction
-from .sets import ItemSet, masks_upto
+from .sets import ItemSet, feasible_count, masks_upto
 
-MAX_EXHAUSTIVE_N = 24
+# feasible sets times n: the bits of all masks, and a bound on every per-item
+# loop over the table.  At n=19, k=19 (524,288 sets, the largest admitted) the
+# build takes about 4 s and 130 MB, and 410 MB with every check and the
+# benchmark DP run on it; at k=1 and k=2 it stays under 0.3 s and 40 MB
+MAX_TABLE_BITS = 10_000_000
 CHECK_TOL = 1e-12
 
 
-def _guard(spec: SetFunction, k: int) -> None:
-    if spec.n > MAX_EXHAUSTIVE_N:
-        raise GroundSetTooLarge(f"n={spec.n} exceeds the exhaustive cap {MAX_EXHAUSTIVE_N}")
+@dataclass(frozen=True, eq=False)
+class FeasibleTable:
+    """The sets of size <= k, indexed by their rank in ``masks_upto`` order.
+
+    ``extend[r, b]`` is the rank of ``masks[r] + b`` for every r with
+    |masks[r]| < k, and -1 when b is already in ``masks[r]``.
+    """
+
+    n: int
+    masks: tuple[int, ...]
+    values: np.ndarray
+    extend: np.ndarray
+
+    def level(self, size: int) -> slice:
+        """Ranks of the sets of exactly ``size`` items."""
+        return slice(feasible_count(self.n, size - 1), feasible_count(self.n, size))
+
+    def grown(self, ranks) -> np.ndarray:
+        """values[extend[ranks]], with -inf where the item is already in the set."""
+        ext = self.extend[ranks]
+        return np.where(ext >= 0, self.values[ext], -np.inf)
+
+    @cached_property
+    def best_extension(self) -> np.ndarray:
+        """max over b not in S of f(S + b), for every S with |S| < k."""
+        return self.grown(slice(None)).max(axis=1)
+
+
+def value_table(spec: SetFunction, k: int) -> FeasibleTable:
+    """The feasible-set table of ``spec`` up to size k, built once per spec."""
     if k > spec.k_max:
         raise CardinalityExceeded(f"k={k} exceeds the spec's k_max={spec.k_max}")
     if k < 0:
         raise ValueError("k must be nonnegative")
-
-
-def popcounts(n: int) -> np.ndarray:
-    """Vector of popcounts for all masks in [0, 2^n)."""
-    idx = np.arange(1 << n, dtype=np.uint32)
-    pc = np.zeros(1 << n, dtype=np.int8)
-    for a in range(n):
-        pc += ((idx >> a) & 1).astype(np.int8)
-    return pc
-
-
-def value_table(spec: SetFunction, k: int) -> np.ndarray:
-    """Dense table of f over all masks with popcount <= k (NaN elsewhere)."""
-    _guard(spec, k)
+    count = 0
+    for size in range(k + 1):  # stops at the first size over the budget
+        count += math.comb(spec.n, size)
+        if count * spec.n > MAX_TABLE_BITS:
+            raise GroundSetTooLarge(
+                f"the sets of size <= {k} over n={spec.n} items exceed the budget: "
+                f"feasible sets times n must stay <= {MAX_TABLE_BITS}"
+            )
     key = ("value_table", k)
     if key not in spec.memo:
-        vals = np.full(1 << spec.n, np.nan)
-        for mask in masks_upto(spec.n, k):
-            vals[mask] = spec._value(mask)
-        spec.memo[key] = vals
+        masks = tuple(masks_upto(spec.n, k))
+        rank = {mask: r for r, mask in enumerate(masks)}
+        bits = [1 << b for b in range(spec.n)]
+        extend = np.empty((feasible_count(spec.n, k - 1), spec.n), dtype=np.int32)
+        for r in range(len(extend)):
+            mask = masks[r]
+            extend[r] = [-1 if mask & bit else rank[mask | bit] for bit in bits]
+        values = np.fromiter(map(spec._value, masks), dtype=float, count=len(masks))
+        spec.memo[key] = FeasibleTable(spec.n, masks, values, extend)
     return spec.memo[key]
-
-
-def _mask_array(n: int, size: int) -> np.ndarray:
-    """``masks_upto(n, size)`` as an int64 array, for the vectorized checks."""
-    return np.fromiter(masks_upto(n, size), dtype=np.int64)
-
-
-def best_extension_table(vals: np.ndarray, n: int, k: int) -> np.ndarray:
-    """best_ext[S] = max_{b not in S} f(S + b) for popcount(S) <= k - 1."""
-    pc = popcounts(n)
-    best = np.full(1 << n, -np.inf)
-    for b in range(n):
-        bit = 1 << b
-        without = (np.arange(1 << n) & bit) == 0
-        grow = np.where(without, vals[np.arange(1 << n) | bit], -np.inf)
-        best = np.maximum(best, grow)
-    best[pc > k - 1] = np.nan
-    return best
 
 
 @dataclass(frozen=True)
@@ -94,26 +110,14 @@ class SubmodularResult:
 
 def check_monotone(spec: SetFunction, k: int, tol: float = CHECK_TOL) -> MonotoneResult:
     """ok iff f(A) <= f(A + a) + tol for all |A| < k, a not in A."""
-    vals = value_table(spec, k)
-    n = spec.n
-    small = _mask_array(n, k - 1)
-    for a in range(n):
-        bit = 1 << a
-        masks = small[small & bit == 0]
-        if np.any(vals[masks | bit] < vals[masks] - tol):
-            return MonotoneResult(False, _monotone_witness(vals, n, k, tol))
-    return MonotoneResult(True)
-
-
-def _monotone_witness(vals, n, k, tol):
-    for mask in masks_upto(n, k - 1):
-        for a in range(n):
-            bit = 1 << a
-            if mask & bit:
-                continue
-            if vals[mask | bit] < vals[mask] - tol:
-                return (ItemSet(mask), a)
-    return None
+    table = value_table(spec, k)
+    rows = len(table.extend)
+    grown = table.values[table.extend]
+    drops = (table.extend >= 0) & (grown < table.values[:rows, None] - tol)
+    if not drops.any():
+        return MonotoneResult(True)
+    r, a = np.unravel_index(np.argmax(drops), drops.shape)
+    return MonotoneResult(False, (ItemSet(table.masks[r]), int(a)))
 
 
 def check_submodular(spec: SetFunction, k: int, tol: float = CHECK_TOL) -> SubmodularResult:
@@ -122,38 +126,27 @@ def check_submodular(spec: SetFunction, k: int, tol: float = CHECK_TOL) -> Submo
     The witness, when present, is a triple (A, B, a) with A subset of B,
     a outside B and f(A + a) - f(A) < f(B + a) - f(B) - tol.
     """
-    vals = value_table(spec, k)
-    n = spec.n
-    small = _mask_array(n, k - 2)
-    for a in range(n):
-        abit = 1 << a
-        for b in range(a + 1, n):
-            bbit = 1 << b
-            masks = small[small & (abit | bbit) == 0]
-            lhs = vals[masks | abit] + vals[masks | bbit]
-            rhs = vals[masks | abit | bbit] + vals[masks]
-            if np.any(lhs < rhs - tol):
-                return SubmodularResult(False, _submodular_witness(vals, n, k, tol))
-    return SubmodularResult(True)
-
-
-def _submodular_witness(vals, n, k, tol):
-    for mask in masks_upto(n, k - 2):
-        for a in range(n):
-            abit = 1 << a
-            if mask & abit:
-                continue
-            for b in range(n):
-                if b == a:
-                    continue
-                bbit = 1 << b
-                if mask & bbit:
-                    continue
-                gain_small = vals[mask | abit] - vals[mask]
-                gain_large = vals[mask | abit | bbit] - vals[mask | bbit]
-                if gain_small < gain_large - tol:
-                    return (ItemSet(mask), ItemSet(mask | bbit), a)
-    return None
+    table = value_table(spec, k)
+    vals, extend = table.values, table.extend
+    small = np.arange(feasible_count(spec.n, k - 2))
+    first = None  # (rank of A, a, b) of the first violation
+    for a in range(spec.n):
+        with_a = extend[small, a]
+        keep = with_a >= 0
+        base, with_a = small[keep], with_a[keep]
+        gain_small = vals[with_a] - vals[base]
+        # b ranges over items outside A + a; extend[with_a] is -1 elsewhere
+        gain_large = table.grown(with_a) - vals[extend[base]]
+        bad = gain_small[:, None] < gain_large - tol
+        if bad.any():
+            i, b = np.unravel_index(np.argmax(bad), bad.shape)
+            if first is None or base[i] < first[0]:
+                first = (int(base[i]), a, int(b))
+    if first is None:
+        return SubmodularResult(True)
+    r, a, b = first
+    mask = table.masks[r]
+    return SubmodularResult(False, (ItemSet(mask), ItemSet(mask | (1 << b)), a))
 
 
 def curvature(spec: SetFunction, k: int) -> float:
@@ -163,23 +156,17 @@ def curvature(spec: SetFunction, k: int) -> float:
     forces the marginal to 0 there); if every singleton is worth 0 the
     function returns 0.
     """
-    vals = value_table(spec, k)
-    n = spec.n
-    small = _mask_array(n, k - 1)
-    worst = np.inf
-    for a in range(n):
-        bit = 1 << a
-        single = vals[bit]
-        if single <= 0.0:
-            continue
-        masks = small[small & bit == 0]
-        if masks.size == 0:
-            continue
-        ratios = (vals[masks | bit] - vals[masks]) / single
-        worst = min(worst, float(ratios.min()))
-    if math.isinf(worst):
+    table = value_table(spec, k)
+    if k == 0:
+        return 0.0  # no set can grow
+    single = table.values[table.extend[0]]  # row 0 is the empty set
+    rows = len(table.extend)
+    counted = (table.extend >= 0) & (single > 0.0)
+    if not counted.any():
         return 0.0  # every singleton is worth 0
-    return 1.0 - worst
+    gains = table.values[table.extend] - table.values[:rows, None]
+    ratios = gains / np.where(single > 0.0, single, 1.0)
+    return 1.0 - float(ratios[counted].min())
 
 
 def approx_ratio(c: float) -> float:

@@ -58,6 +58,36 @@ def test_verify_failing_instance_prints_witness(capsys):
     assert "marginal" in out  # witness detail
 
 
+def test_verify_non_monotone_table_fails_without_traceback(tmp_path, capsys):
+    # submodular but not monotone (f({0,1}) < f({0})): the curvature leaves
+    # [0, 1], so the greedy guarantee has no ratio and FAILs instead of raising
+    table = {"": 0.0, "0": 0.5, "1": 0.01, "0,1": 0.4}
+    path = tmp_path / "spec.json"
+    path.write_text(
+        json.dumps({"function": {"kind": "tabular", "n": 2, "k_max": 2, "table": table}, "k": 2})
+    )
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert err == ""
+    rows = {line.split()[0]: line.split(None, 2)[1:] for line in out.splitlines()[1:]}
+    assert rows["monotone"][0] == "FAIL" and "drops when adding 1 to {0}" in rows["monotone"][1]
+    assert rows["submodular"] == ["PASS"]
+    assert rows["curvature_in_range"] == ["FAIL", "c=11"]
+    assert rows["greedy_guarantee"][0] == "FAIL" and "c=11 outside [0, 1]" in rows["greedy_guarantee"][1]
+    assert rows["benchmark_dp_vs_enum"][0] == "PASS"
+
+
+@pytest.mark.parametrize("command", ["verify", "instance"])
+def test_wide_ground_set_exit_3(tmp_path, capsys, command):
+    # 10^6 sets of size <= 1, each mask 999,999 bits wide: refused at once
+    function = {"kind": "unique_greedy_path", "n": 999999, "k": 1, "delta": 0.1}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"function": function, "k": 1}))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 3
+    assert out == "" and "resource guard" in err
+
+
 def test_verify_unknown_name(capsys):
     code, _, err = run_cli(capsys, "verify", "no-such-instance")
     assert code == 2

@@ -156,12 +156,31 @@ def test_run_experiment_deterministic_across_jobs(tmp_path):
         assert m1.read_bytes() == m2.read_bytes()
 
 
-def test_run_experiment_resource_guards(tmp_path):
-    big = harmonic_base(27, 9)
+def test_run_experiment_resource_guards(tmp_path, monkeypatch):
+    big = harmonic_base(27, 9)  # 8,192,524 feasible sets, over the budget
     doc = _base_doc(function=big.to_json(), n=27, k=9)
     cfg = config_from_json(doc)
+    calls = []
+    monkeypatch.setattr(
+        type(cfg.function), "_value", lambda self, mask: calls.append(mask)
+    )
     with pytest.raises(GroundSetTooLarge):
-        run_experiment(cfg, output_dir=tmp_path)
+        run_experiment(cfg, output_dir=tmp_path / "big")
+    assert calls == []  # the budget is checked before any value is computed
+    assert not (tmp_path / "big").exists()
+    monkeypatch.undo()
+
+    # 10^6 sets of size <= 1 with masks 999,999 bits wide: over the budget
+    long = UniqueGreedyPath(999_999, 1, 0.1)
+    doc = _base_doc(function=long.to_json(), n=999_999, k=1)
+    cfg = config_from_json(doc)
+    calls = []
+    monkeypatch.setattr(UniqueGreedyPath, "_value", lambda self, mask: calls.append(mask))
+    with pytest.raises(GroundSetTooLarge):
+        run_experiment(cfg, output_dir=tmp_path / "long")
+    assert calls == []
+    assert not (tmp_path / "long").exists()
+    monkeypatch.undo()
 
     wide = harmonic_base(24, 12)  # C(24, 12) = 2704156 arms
     doc = _base_doc(
@@ -169,7 +188,8 @@ def test_run_experiment_resource_guards(tmp_path):
     )
     cfg = config_from_json(doc)
     with pytest.raises(TooManyArms):
-        run_experiment(cfg, output_dir=tmp_path)
+        run_experiment(cfg, output_dir=tmp_path / "wide")
+    assert not (tmp_path / "wide").exists()
 
 
 _json_values = st.recursive(

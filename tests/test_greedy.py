@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from submodbandit import (
     GreedyChain,
     HarmonicInstance,
     ItemSet,
+    benchmark_summary,
     brute_force_opt,
     chain_from_order,
     check_approx_guarantee,
@@ -18,7 +20,8 @@ from submodbandit import (
     harmonic_tail,
 )
 from submodbandit.catalog import experiment_cover, harmonic_base, harmonic_elevated
-from submodbandit.errors import CardinalityExceeded
+from submodbandit.errors import CardinalityExceeded, OutOfRange
+from submodbandit.verify import FULL_ENUM_CAP
 
 
 def test_exact_greedy_cover_chain():
@@ -105,6 +108,16 @@ def test_benchmark_dp_equals_enumeration(seed):
     assert dp.value == enum.value
 
 
+def test_chain_from_order_rejects_bad_items():
+    # ranks index the table, so a negative item must not wrap around
+    spec = harmonic_base(6, 2)
+    for order in [(-1, 0), (0, 6)]:
+        with pytest.raises(OutOfRange):
+            chain_from_order(spec, 2, order)
+    with pytest.raises(ValueError, match="repeated"):
+        chain_from_order(spec, 2, (3, 3))
+
+
 def test_benchmark_witness_is_feasible():
     for spec, k in [
         (harmonic_base(6, 2), 2),
@@ -180,3 +193,18 @@ def test_guarantee_for_every_chain(seed):
         assert res.lhs == pytest.approx(final_value + sum(slacks), abs=1e-12)
         worst_margin = min(worst_margin, res.lhs - res.rhs)
     assert worst_margin > -1e-9
+
+
+def test_benchmark_past_the_old_ground_set_cap():
+    # a dense 2^60 table is out of reach; the ranked one holds 36,051 sets,
+    # and every one of the 205,320 orders is walked
+    spec = harmonic_base(60, 3)
+    start = time.perf_counter()
+    summary = benchmark_summary(spec, 3)
+    enum = enumerate_benchmark(spec, 3)
+    assert time.perf_counter() - start < 30.0
+    assert math.perm(60, 3) <= FULL_ENUM_CAP
+    assert summary.benchmark == enum.value
+    assert summary.benchmark == pytest.approx(
+        harmonic_tail(3, 3) - spec.delta * 2 / 3, abs=1e-12
+    )

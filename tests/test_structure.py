@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -18,9 +19,13 @@ from submodbandit import (
     check_submodular,
     curvature,
     evaluate,
+    value_table,
 )
-from submodbandit.catalog import experiment_cover
+from submodbandit.catalog import experiment_cover, harmonic_base
 from submodbandit.errors import GroundSetTooLarge
+from submodbandit.sets import feasible_count, masks_upto
+from submodbandit.structure import MAX_TABLE_BITS
+from submodbandit.verify import run_checks
 
 
 def test_monotone_on_builtins():
@@ -127,7 +132,91 @@ def test_approx_ratio():
         approx_ratio(1.5)
 
 
-def test_ground_set_guard():
-    spec = UniqueGreedyPath(30, 3, 0.01)
-    with pytest.raises(GroundSetTooLarge):
-        check_monotone(spec, 3)
+@pytest.mark.parametrize("n, k", [(1, 0), (1, 1), (5, 3), (6, 6), (70, 2)])
+def test_feasible_table_is_ranked_index(n, k):
+    spec = harmonic_base(n, max(k, 1)) if k else Tabular(n, 0, {0: 0.0})
+    table = value_table(spec, k)
+    assert table.masks == tuple(masks_upto(n, k))
+    assert len(table.masks) == feasible_count(n, k)
+    rank = {mask: r for r, mask in enumerate(table.masks)}
+    assert len(rank) == len(table.masks)  # no mask listed twice
+    assert table.values.tolist() == [spec.value_of_mask(mask) for mask in table.masks]
+    assert table.extend.shape == (feasible_count(n, k - 1), n)
+    for r, row in enumerate(table.extend.tolist()):
+        mask = table.masks[r]
+        assert row == [-1 if mask >> b & 1 else rank[mask | 1 << b] for b in range(n)]
+    for size in range(k + 1):
+        assert all(m.bit_count() == size for m in table.masks[table.level(size)])
+    assert value_table(spec, k) is table  # kept in the spec's memo
+
+
+def test_ground_set_guard(monkeypatch):
+    for spec, k in [
+        (harmonic_base(27, 9), 9),  # 8,192,524 sets of size <= 9 over 27 items
+        (UniqueGreedyPath(999_999, 1, 0.1), 1),  # 10^6 sets, masks 999,999 bits wide
+    ]:
+        assert feasible_count(spec.n, k) * spec.n > MAX_TABLE_BITS
+        calls = []
+        monkeypatch.setattr(type(spec), "_value", lambda self, mask: calls.append(mask))
+        with pytest.raises(GroundSetTooLarge):
+            check_monotone(spec, k)
+        assert calls == [] and spec.memo == {}  # refused before any value is computed
+
+
+def test_budget_admits_n60_k3():
+    assert feasible_count(60, 3) == 36_051
+    assert 36_051 * 60 <= MAX_TABLE_BITS
+
+
+def test_run_checks_past_int64_masks():
+    # n = 70: masks reach 2^69, beyond int64; verdicts are the families' known ones
+    for spec, submodular in [
+        (harmonic_base(70, 2), True),  # gap 1/32 <= 1/(8 k^2)
+        (UniqueGreedyPath(70, 2, 0.1), False),  # gap above 1/(2k(2k-1)) = 1/12
+    ]:
+        rows = {row.name: row for row in run_checks(spec, 2)}
+        assert rows["monotone"].ok
+        assert rows["submodular"].ok == submodular
+        assert rows["benchmark_dp_vs_enum"].ok
+        sub = check_submodular(spec, 2)
+        if not submodular:
+            A, B, a = sub.witness
+            gain_small = evaluate(spec, A.with_item(a)) - evaluate(spec, A)
+            gain_large = evaluate(spec, B.with_item(a)) - evaluate(spec, B)
+            assert gain_small < gain_large - 1e-12
+    top = value_table(harmonic_base(70, 2), 2).masks[-1]
+    assert top == (1 << 69) | (1 << 68)
+
+
+def test_failing_checks_agree_with_naive_and_name_first_violation():
+    # random tables, mostly neither monotone nor submodular: verdicts match the
+    # naive definitions and each witness is the first violation in
+    # (rank of A, a, b) order
+    n, k = 5, 3
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        spec = Tabular(n, k, {m: 0.0 if m == 0 else float(rng.uniform()) for m in masks_upto(n, k)})
+        f = spec.value_of_mask
+
+        def gain(A, a):
+            return f(A | 1 << a) - f(A)
+
+        drops = [
+            (ItemSet(A), a)
+            for A in masks_upto(n, k - 1)
+            for a in range(n)
+            if not A >> a & 1 and f(A | 1 << a) < f(A) - 1e-12
+        ]
+        grows = [
+            (ItemSet(A), ItemSet(A | 1 << b), a)
+            for A in masks_upto(n, k - 2)
+            for a in range(n)
+            for b in range(n)
+            if a != b and not A >> a & 1 and not A >> b & 1
+            and gain(A, a) < gain(A | 1 << b, a) - 1e-12
+        ]
+        mono, sub = check_monotone(spec, k), check_submodular(spec, k)
+        assert mono.ok == naive_is_monotone(spec, k) == (not drops)
+        assert sub.ok == naive_is_submodular(spec, k) == (not grows)
+        assert mono.witness == (drops[0] if drops else None)
+        assert sub.witness == (grows[0] if grows else None)
