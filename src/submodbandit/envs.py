@@ -93,7 +93,6 @@ class BanditEnv:
         self._rng = np.random.default_rng(self.seed)
         self._noise_buf = np.empty(0)
         self._noise_pos = 0
-        self.pull_counts: Counter[int] = Counter()
         self.trajectory = Trajectory()
         self._value_cache: dict[int, float] = {}
 
@@ -119,13 +118,17 @@ class BanditEnv:
     def pull_mask(self, mask: int) -> float:
         """Fast-path pull on a raw bit mask."""
         reward = self.value_of_mask(mask) + self.sigma * self._next_noise()
-        self.pull_counts[mask] += 1
         self.trajectory.append(mask, reward)
         return reward
 
     def pull(self, items: ItemSet) -> float:
         """Pull a set: observe its value plus Gaussian noise, record the step."""
         return self.pull_mask(items.mask)
+
+    @property
+    def pull_counts(self) -> Counter[int]:
+        """Pulls per set, counted from the trajectory."""
+        return Counter(self.trajectory.masks())
 
     def counts_by_cardinality(self) -> dict[int, int]:
         """Total pulls per set size; values sum to t."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import CardinalityExceeded, OutOfRange
-from .sets import ItemSet, feasible_count, masks_upto, render_mask
+from .sets import ItemSet, feasible_count, render_mask
 
 
 def is_int(value) -> bool:
@@ -447,5 +447,9 @@ def spec_from_json(doc) -> SetFunction:
 
 
 def tabular_from_spec(spec: SetFunction, k: int) -> Tabular:
-    """Materialize any spec as an explicit Tabular copy up to cardinality k."""
-    return Tabular(spec.n, k, {mask: spec.value_of_mask(mask) for mask in masks_upto(spec.n, k)})
+    """Materialize any spec as an explicit Tabular copy up to cardinality k,
+    read off ``structure.value_table`` and so refused by its size guard."""
+    from .structure import value_table  # structure imports this module
+
+    table = value_table(spec, k)
+    return Tabular(spec.n, k, dict(zip(table.masks, table.values.tolist())))

@@ -16,23 +16,31 @@ Each policy is one frozen dataclass that owns its whole protocol:
   against a :class:`~submodbandit.envs.BanditEnv` and return the greedy
   levels it fixed; the trajectory stays on ``env.trajectory``.
 
-The three policies:
+Every run is the same two phases.  The greedy phase fixes ``l`` levels,
+adding one item to the base set per level; the flat phase then runs the
+index loop with m = infinity over every size-k superset of the base.  A
+level's candidates are the base plus one item not in it, and it picks one
+of them by one of two sampling rules:
 
-* ``SubUcbPolicy`` -- grows a base set greedily for ``l`` levels using
-  optimistic indices, then runs a flat index policy over all size-k
-  super-arms of the base set.
-* ``EtcgPolicy`` -- explore-then-commit greedy: every candidate extension is
-  sampled exactly m times per level, the best empirical mean is kept, and the
-  final set is exploited for the remaining budget.
-* ``UcbAllPolicy`` -- the flat index policy over every size-k arm.
+* uniform -- sample every candidate m times in item order and keep the
+  first maximum of the empirical means;
+* optimistic -- run the index loop over the candidates until the index
+  argmax already has m pulls, and keep that argmax.
 
-Conventions shared by all runners: the optimistic index of an arm with
-T_a > 0 pulls is  mean + sqrt(8 * ln(t) / T_a)  with t the global count of
-completed pulls and natural logarithm; unpulled arms have index +infinity;
-ties always resolve to the first arm in order (candidates ascend by item,
-flat arms by lexicographic member tuple).  Every pull is gated on t < T, so
-a run stops mid-phase when the budget is exhausted and the trajectory has
-exactly T steps.
+Level 1 always samples uniformly, so an optimistic level 1 starts its
+index loop from m samples of every singleton.  The three policies:
+
+* ``SubUcbPolicy`` -- ``l`` optimistic levels, then the flat phase.
+* ``EtcgPolicy`` -- explore-then-commit greedy: ``l = k`` uniform levels,
+  after which the flat phase has the one committed set to pull.
+* ``UcbAllPolicy`` -- ``l = 0``: the flat phase over every size-k arm.
+
+The index loop pulls each unpulled arm once, in order, and then the arm of
+largest index  mean + sqrt(8 * ln(t) / T_a)  with t the global count of
+completed pulls, natural logarithm and T_a the arm's pulls; ties resolve
+to the first arm (candidates ascend by item, flat arms by lexicographic
+member tuple).  Every pull is gated on t < T, so a run stops mid-phase
+when the budget is exhausted and the trajectory has exactly T steps.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from .analysis import auto_stop_level
 from .envs import BanditEnv
 from .errors import CardinalityExceeded, InvalidStopLevel, TooManyArms
 from .functions import is_int
-from .sets import ItemSet, sort_key
+from .sets import ItemSet
 
 MAX_ARMS = 10**6
 
@@ -75,40 +83,65 @@ def _check_arm_count(n: int, k: int, base_size: int) -> None:
 
 
 def _superarm_masks(n: int, k: int, base_mask: int) -> list[int]:
-    """All size-k supersets of base, sorted lexicographically by members."""
-    _check_cardinality(n, k)
-    base_size = base_mask.bit_count()
-    _check_arm_count(n, k, base_size)
+    """All size-k supersets of base, in lexicographic member order."""
     free = [a for a in range(n) if not (base_mask >> a) & 1]
-    masks = []
-    for combo in combinations(free, k - base_size):
-        mask = base_mask
-        for a in combo:
-            mask |= 1 << a
-        masks.append(mask)
-    masks.sort(key=sort_key)
-    return masks
+    size = k - base_mask.bit_count()
+    return [base_mask | sum(1 << a for a in combo) for combo in combinations(free, size)]
 
 
-def _flat_ucb(env: BanditEnv, arms: list[int], T: int) -> None:
-    """Flat optimistic-index policy over a fixed arm list, until t = T."""
-    counts = np.zeros(len(arms))
-    sums = np.zeros(len(arms))
-    next_unpulled = 0
-    while env.t < T:
-        if next_unpulled < len(arms):
-            j = next_unpulled
-            next_unpulled += 1
-        else:
-            bonus = np.sqrt(8.0 * math.log(env.t) / counts)
-            j = int(np.argmax(sums / counts + bonus))
-        r = env.pull_mask(arms[j])
+def _index_loop(
+    env: BanditEnv, arms: list[int], m: float, T: int, counts=None, sums=None
+) -> int | None:
+    """Pull each unpulled arm once, then the index argmax, starting from the
+    given per-arm pulls and reward sums (none by default).  Return the
+    argmax's position once it already has m pulls, or None at t = T."""
+    if counts is None:
+        counts, sums = np.zeros(len(arms)), np.zeros(len(arms))
+    for j in np.flatnonzero(counts == 0).tolist():
+        if env.t >= T:
+            return None
+        sums[j] += env.pull_mask(arms[j])
         counts[j] += 1.0
-        sums[j] += r
+    while True:
+        j = int(np.argmax(sums / counts + np.sqrt(8.0 * math.log(env.t) / counts)))
+        if counts[j] >= m:
+            return j
+        if env.t >= T:
+            return None
+        sums[j] += env.pull_mask(arms[j])
+        counts[j] += 1.0
 
 
-def _budget(m: int | None, T: int, n: int) -> int:
-    return m if m is not None else default_m(T, n)
+def _greedy_then_flat(
+    env: BanditEnv, k: int, T: int, l: int, m: int | None, uniform: bool
+) -> list[ItemSet]:
+    """Fix l greedy levels by the uniform or optimistic rule, then run the
+    flat phase over the size-k supersets of the base; return the levels."""
+    n = env.spec.n
+    levels = []
+    base = 0
+    for level in range(l):
+        arms = [base | (1 << a) for a in range(n) if not (base >> a) & 1]
+        counts, sums = np.zeros(len(arms)), np.zeros(len(arms))
+        if level == 0 or uniform:
+            for j, arm in enumerate(arms):
+                total = 0.0
+                for _ in range(m):
+                    if env.t >= T:
+                        return levels
+                    total += env.pull_mask(arm)
+                sums[j] = total
+            counts[:] = m
+        if uniform:
+            j = int(np.argmax(sums / m))
+        else:
+            j = _index_loop(env, arms, m, T, counts, sums)
+            if j is None:
+                return levels
+        base = arms[j]
+        levels.append(ItemSet(base))
+    _index_loop(env, _superarm_masks(n, k, base), math.inf, T)
+    return levels
 
 
 class _Policy:
@@ -164,8 +197,8 @@ class UcbAllPolicy(_Policy):
         return None, None
 
     def run(self, env: BanditEnv, k: int, T: int) -> list[ItemSet]:
-        _flat_ucb(env, _superarm_masks(env.spec.n, k, 0), T)
-        return []
+        self.resolve(env.spec.n, k, T)
+        return _greedy_then_flat(env, k, T, 0, None, uniform=False)
 
 
 @dataclass(frozen=True)
@@ -179,30 +212,11 @@ class EtcgPolicy(_Policy):
 
     def resolve(self, n: int, k: int, T: int) -> tuple[None, int]:
         _check_cardinality(n, k)
-        return None, _budget(self.m, T, n)
+        return None, self.m or default_m(T, n)
 
     def run(self, env: BanditEnv, k: int, T: int) -> list[ItemSet]:
-        n = env.spec.n
-        _, m = self.resolve(n, k, T)
-        levels = []
-        base = 0
-        for _level in range(k):
-            cands = [a for a in range(n) if not (base >> a) & 1]
-            means = []
-            for a in cands:
-                arm = base | (1 << a)
-                total = 0.0
-                for _ in range(m):
-                    if env.t >= T:
-                        return levels
-                    total += env.pull_mask(arm)
-                means.append(total / m)
-            best = max(range(len(cands)), key=lambda j: (means[j], -cands[j]))
-            base |= 1 << cands[best]
-            levels.append(ItemSet(base))
-        while env.t < T:
-            env.pull_mask(base)
-        return levels
+        _, m = self.resolve(env.spec.n, k, T)
+        return _greedy_then_flat(env, k, T, k, m, uniform=True)
 
 
 @dataclass(frozen=True)
@@ -211,12 +225,11 @@ class SubUcbPolicy(_Policy):
 
     ``l`` is a stop level in [0, k] or "auto" (derived from the horizon by
     ``auto_stop_level``); ``m`` is the per-arm budget (None = default_m).
-    Phase 1 pulls every singleton m times (skipped entirely when l = 0, which
-    makes the run coincide with ``UcbAllPolicy``).  Phase 2 fixes one item per
-    level: while the current index-argmax arm has fewer than m pulls, pull it;
-    the argmax at exit joins the base set.  Level 1 reuses the singleton
-    statistics from phase 1.  Phase 3 hands the remaining budget to the flat
-    index policy over all size-k supersets of the base.
+    The greedy phase fixes l optimistic levels: level 1 samples every
+    singleton m times and keeps the index argmax over those samples; each
+    later level pulls the index argmax of its candidates until that argmax
+    already has m pulls.  The flat phase then runs the index loop over every
+    size-k superset of the base; at l = 0 that is ``UcbAllPolicy``'s run.
     """
 
     l: int | str = AUTO
@@ -238,54 +251,13 @@ class SubUcbPolicy(_Policy):
         l = auto_stop_level(n, k, T) if self.l == AUTO else self.l
         if not 0 <= l <= k:
             raise InvalidStopLevel(f"stop level {l} outside [0, {k}]")
-        m = _budget(self.m, T, n)
+        m = self.m or default_m(T, n)
         _check_arm_count(n, k, l)
         return l, m
 
     def run(self, env: BanditEnv, k: int, T: int) -> list[ItemSet]:
-        n = env.spec.n
-        l, m = self.resolve(n, k, T)
-        levels = []
-
-        singleton_sums = np.zeros(n)
-        singleton_counts = np.zeros(n)
-        if l > 0:
-            for a in range(n):
-                for _ in range(m):
-                    if env.t >= T:
-                        return levels
-                    singleton_sums[a] += env.pull_mask(1 << a)
-                    singleton_counts[a] += 1.0
-
-        base = 0
-        for level in range(1, l + 1):
-            cands = [a for a in range(n) if not (base >> a) & 1]
-            if level == 1:
-                counts = singleton_counts[cands].copy()
-                sums = singleton_sums[cands].copy()
-            else:
-                counts = np.zeros(len(cands))
-                sums = np.zeros(len(cands))
-            while True:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    index = np.where(
-                        counts > 0,
-                        sums / counts + np.sqrt(8.0 * math.log(max(env.t, 1)) / counts),
-                        np.inf,
-                    )
-                j = int(np.argmax(index))
-                if counts[j] >= m:
-                    break
-                if env.t >= T:
-                    return levels
-                r = env.pull_mask(base | (1 << cands[j]))
-                counts[j] += 1.0
-                sums[j] += r
-            base |= 1 << cands[j]
-            levels.append(ItemSet(base))
-
-        _flat_ucb(env, _superarm_masks(n, k, base), T)
-        return levels
+        l, m = self.resolve(env.spec.n, k, T)
+        return _greedy_then_flat(env, k, T, l, m, uniform=False)
 
 
 Policy = SubUcbPolicy | EtcgPolicy | UcbAllPolicy

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import pulled_sets_ok
 from submodbandit import (
@@ -17,7 +19,8 @@ from submodbandit import (
 )
 from submodbandit.catalog import experiment_cover, harmonic_base
 from submodbandit.errors import InvalidStopLevel, TooManyArms
-from submodbandit.policies import _flat_ucb, _superarm_masks
+from submodbandit.policies import _index_loop, _superarm_masks
+from submodbandit.sets import masks_upto
 
 
 def test_default_m_frozen():
@@ -38,7 +41,7 @@ def _trajectory(policy, env, k, T):
 
 
 def _flat_over_supersets(env, T, k, base):
-    _flat_ucb(env, _superarm_masks(env.spec.n, k, base.mask), T)
+    _index_loop(env, _superarm_masks(env.spec.n, k, base.mask), math.inf, T)
     return env.trajectory
 
 
@@ -71,7 +74,7 @@ def test_sub_ucb_zero_noise_matches_exact_greedy():
 
 def test_sub_ucb_budget_guard_mid_phase():
     spec = harmonic_base(6, 2)
-    # T smaller than the singleton phase n*m = 60
+    # T smaller than level 1's singleton samples, n*m = 60
     traj = _trajectory(SubUcbPolicy(l=2, m=10), _fresh(spec, 1.0, 9), 2, 15)
     assert len(traj) == 15
     assert all(mask.bit_count() == 1 for mask in traj.masks())
@@ -126,6 +129,16 @@ def test_ucb_all_single_arm():
     base = ItemSet.of([0, 1])
     traj = _flat_over_supersets(_fresh(spec, 1.0, 5), 20, 2, base)
     assert traj.masks() == [base.mask] * 20
+
+
+@given(st.data())
+def test_superarm_masks_are_the_size_k_supersets_in_masks_upto_order(data):
+    n = data.draw(st.integers(min_value=0, max_value=10))
+    k = data.draw(st.integers(min_value=0, max_value=n))
+    order = data.draw(st.permutations(range(n)))
+    base = sum(1 << a for a in order[: data.draw(st.integers(min_value=0, max_value=k))])
+    expected = [m for m in masks_upto(n, k) if m.bit_count() == k and m & base == base]
+    assert _superarm_masks(n, k, base) == expected
 
 
 def test_ucb_all_initialization_round():

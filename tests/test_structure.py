@@ -19,6 +19,7 @@ from submodbandit import (
     check_submodular,
     curvature,
     evaluate,
+    tabular_from_spec,
     value_table,
 )
 from submodbandit.catalog import experiment_cover, harmonic_base
@@ -160,6 +161,8 @@ def test_ground_set_guard(monkeypatch):
         monkeypatch.setattr(type(spec), "_value", lambda self, mask: calls.append(mask))
         with pytest.raises(GroundSetTooLarge):
             check_monotone(spec, k)
+        with pytest.raises(GroundSetTooLarge):
+            tabular_from_spec(spec, k)
         assert calls == [] and spec.memo == {}  # refused before any value is computed
 
 
