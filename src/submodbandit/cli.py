@@ -75,6 +75,8 @@ def _load_target(target: str) -> tuple[str, SetFunction, int]:
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1; got {args.jobs}")
     config = load_config(args.config)
     results, manifest = run_experiment(config, jobs=args.jobs, output_dir=args.out)
     print(f"wrote {results}")

@@ -126,14 +126,11 @@ class BanditEnv:
         return self.pull_mask(items.mask)
 
     @property
-    def pull_counts(self) -> Counter[int]:
-        """Pulls per set, counted from the trajectory."""
-        return Counter(self.trajectory.masks())
+    def pull_counts(self) -> Counter[ItemSet]:
+        """Pulls per set, counted from the trajectory; the pull profile
+        ``analysis.kl_between`` takes."""
+        return Counter(map(ItemSet, self.trajectory.masks()))
 
     def counts_by_cardinality(self) -> dict[int, int]:
         """Total pulls per set size; values sum to t."""
-        out: dict[int, int] = {}
-        for mask, count in self.pull_counts.items():
-            size = mask.bit_count()
-            out[size] = out.get(size, 0) + count
-        return out
+        return dict(Counter(mask.bit_count() for mask in self.trajectory.masks()))

@@ -13,8 +13,9 @@ value-plus-slack any chain can achieve,
 
 computed exactly by dynamic programming over the feasible sets (the chain
 cost decomposes over consecutive levels, so a min over predecessors per set
-is exact).  ``enumerate_benchmark`` recomputes the same minimum by walking
-every ordered chain and exists as an independent cross-check of the DP.
+is exact).  ``enumerate_benchmark`` recomputes the same minimum by costing
+every ordered chain and exists as an independent cross-check of the DP: one
+blocked numpy gather costs a block of orders, one chain level at a time.
 Every routine here walks the rank-indexed table of ``structure.value_table``:
 a chain step S -> S + a is ``extend[rank(S), a]`` and the best marginal of S
 is ``best_extension[rank(S)]``.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice, permutations
 
 import numpy as np
 
@@ -31,6 +33,12 @@ from .errors import CardinalityExceeded, OutOfRange
 from .functions import SetFunction
 from .sets import ItemSet
 from .structure import approx_ratio, curvature, value_table
+
+# orders costed per gather: the block bounds the enumeration's memory
+_BLOCK_ROWS = 5_000
+# the sampled cross-check costs these seeded orders, a whole number of blocks
+SAMPLE_SEED = 0
+SAMPLE_SIZE = 10 * _BLOCK_ROWS
 
 
 @dataclass(frozen=True)
@@ -157,67 +165,50 @@ def greedy_benchmark(spec: SetFunction, k: int) -> BenchmarkResult:
 
 
 def enumerate_benchmark(
-    spec: SetFunction,
-    k: int,
-    max_chains: int | None = None,
-    sample_seed: int = 0,
-    sample_size: int = 50_000,
+    spec: SetFunction, k: int, max_chains: int | None = None
 ) -> BenchmarkResult:
     """Benchmark by explicit enumeration of ordered chains (DP cross-check).
 
-    Walks the prefix tree of all n*(n-1)*...*(n-k+1) orders accumulating
-    slacks.  If ``max_chains`` is given and the full count exceeds it, a
-    deterministic random sample of orders is costed instead; the result is
-    then an upper bound on the benchmark rather than the exact minimum.
+    Costs all n*(n-1)*...*(n-k+1) orders in lexicographic blocks, each block
+    by one gather per chain level: slack by slack, then f(final).  The first
+    cheapest order wins, so ties go to the lexicographically first.  If
+    ``max_chains`` is given and the full count exceeds it, SAMPLE_SIZE
+    seeded random orders are costed instead; the result is then an upper
+    bound on the benchmark rather than the exact minimum.
     """
     table = value_table(spec, k)
-    if k == 0:
-        return BenchmarkResult(float(table.values[0]), GreedyChain((), ()))
+    vals, best = table.values, table.best_extension
     n = spec.n
-    # plain lists: the walk reads one entry at a time
-    vals = table.values.tolist()
-    best = table.best_extension.tolist()
-    extend = table.extend.tolist()
+    if max_chains is not None and math.perm(n, k) > max_chains:
+        rng = np.random.default_rng(SAMPLE_SEED)
+        # row by row, the first k items of successive rng.permutation(n) draws
+        blocks = (
+            rng.permuted(np.tile(np.arange(n), (_BLOCK_ROWS, 1)), axis=1)[:, :k]
+            for _ in range(SAMPLE_SIZE // _BLOCK_ROWS)
+        )
+    else:
+        every = permutations(range(n), k)
+        blocks = (
+            np.array(block, dtype=np.intp)
+            for block in iter(lambda: list(islice(every, _BLOCK_ROWS)), [])
+        )
 
     best_cost = math.inf
-    best_order: tuple[int, ...] | None = None
+    best_order: tuple[int, ...] = ()
+    for orders in blocks:
+        r = np.zeros(len(orders), dtype=np.intp)
+        cost = np.zeros(len(orders))
+        for a in orders.T:
+            grown = table.extend[r, a]
+            cost += np.maximum(0.0, best[r] - vals[grown])
+            r = grown
+        cost += vals[r]
+        i = int(np.argmin(cost))  # argmin keeps the first minimum
+        if cost[i] < best_cost:
+            best_cost = float(cost[i])
+            best_order = tuple(orders[i].tolist())
 
-    if max_chains is not None and math.perm(n, k) > max_chains:
-        rng = np.random.default_rng(sample_seed)
-        for _ in range(sample_size):
-            order = tuple(int(a) for a in rng.permutation(n)[:k])
-            r = 0
-            cost = 0.0
-            for a in order:
-                grown = extend[r][a]
-                cost += max(0.0, best[r] - vals[grown])
-                r = grown
-            cost += vals[r]
-            if cost < best_cost:
-                best_cost = cost
-                best_order = order
-    else:
-        stack = [(0, 0.0, ())]
-        while stack:
-            r, acc, order = stack.pop()
-            if len(order) == k:
-                cost = acc + vals[r]
-                if cost < best_cost or (
-                    cost == best_cost and order < best_order
-                ):
-                    best_cost = cost
-                    best_order = order
-                continue
-            row = extend[r]
-            for a in range(n - 1, -1, -1):
-                grown = row[a]
-                if grown < 0:
-                    continue
-                slack = max(0.0, best[r] - vals[grown])
-                stack.append((grown, acc + slack, order + (a,)))
-
-    chain = chain_from_order(spec, k, best_order)
-    return BenchmarkResult(best_cost, chain)
+    return BenchmarkResult(best_cost, chain_from_order(spec, k, best_order))
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ For a (spec, k) pair the suite checks:
 * the curvature-corrected greedy guarantee for the exact greedy chain
   (a FAIL naming the curvature when it lies outside [0, 1], where the
   guarantee has no ratio),
-* agreement of the benchmark DP with explicit chain enumeration (sampled
-  deterministically when the chain count is too large to walk in full;
-  the sampled variant checks the DP value is a lower bound and that the DP
-  witness chain is feasible and costs exactly the DP value).
+* agreement of the benchmark DP with explicit chain enumeration, which
+  costs every ordered chain by blocked gathers over the feasible-set table
+  when there are at most FULL_ENUM_CAP of them, and a fixed seeded sample
+  of orders otherwise; the sampled variant checks the DP value is a lower
+  bound and that the DP witness chain is feasible and costs exactly the DP
+  value.
 """
 
 from __future__ import annotations
@@ -69,9 +71,8 @@ def run_checks(spec: SetFunction, k: int) -> list[CheckRow]:
         rows.append(CheckRow("greedy_guarantee", False, detail))
 
     dp = greedy_benchmark(spec, k)
-    total_orders = math.perm(spec.n, k)
-    if total_orders <= FULL_ENUM_CAP:
-        enum = enumerate_benchmark(spec, k)
+    enum = enumerate_benchmark(spec, k, max_chains=FULL_ENUM_CAP)
+    if math.perm(spec.n, k) <= FULL_ENUM_CAP:
         ok = abs(dp.value - enum.value) <= 1e-12
         rows.append(
             CheckRow(
@@ -81,7 +82,6 @@ def run_checks(spec: SetFunction, k: int) -> list[CheckRow]:
             )
         )
     else:
-        enum = enumerate_benchmark(spec, k, max_chains=FULL_ENUM_CAP)
         witness_cost = dp.chain.total_slack() + spec.value_of_mask(
             dp.chain.final_set().mask
         )

@@ -11,6 +11,7 @@ from submodbandit import (
     BanditEnv,
     HarmonicInstance,
     ItemSet,
+    SubUcbPolicy,
     auto_stop_level,
     benchmark_summary,
     compute_bounds,
@@ -192,6 +193,20 @@ def test_kl_closed_form_small():
     expected = 2 * (delta / k) ** 2 * (11 + 7 + k * k * 2)
     assert kl_between(h0, h1, counts, 1.0) == pytest.approx(expected, abs=1e-15)
 
+
+
+def test_kl_under_a_policy_pull_profile():
+    # the env's pull profile is what kl_between takes: one term per pull
+    h0 = harmonic_base(9, 3)
+    h1 = harmonic_elevated(9, 3)
+    env = BanditEnv(h0, 1.0, 4)
+    SubUcbPolicy(l=1).run(env, 3, 500)
+    per_pull = sum(
+        (h0.value_of_mask(mask) - h1.value_of_mask(mask)) ** 2 / 2
+        for mask in env.trajectory.masks()
+    )
+    assert per_pull > 0.0
+    assert kl_between(h0, h1, env.pull_counts, 1.0) == pytest.approx(per_pull, rel=1e-12)
 
 def test_benchmark_summary_cached():
     spec = harmonic_base(9, 3)

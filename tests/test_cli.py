@@ -273,6 +273,17 @@ def test_run_resource_guard_exit_3(tmp_path, capsys):
     assert "resource guard" in err
 
 
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_run_jobs_below_one_exit_2(tmp_path, capsys, jobs):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_valid_run_config(tmp_path)))
+    code, out, err = run_cli(capsys, "run", str(path), "--jobs", jobs)
+    assert code == 2
+    assert "--jobs" in err and jobs in err
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
 def _valid_run_config(tmp_path, **overrides):
     config = {
         "function": harmonic_base(6, 2).to_json(),

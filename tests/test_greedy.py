@@ -1,5 +1,6 @@
 import math
 import time
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from submodbandit import (
     GreedyChain,
     HarmonicInstance,
     ItemSet,
+    Tabular,
     benchmark_summary,
     brute_force_opt,
     chain_from_order,
@@ -19,8 +21,14 @@ from submodbandit import (
     greedy_benchmark,
     harmonic_tail,
 )
-from submodbandit.catalog import experiment_cover, harmonic_base, harmonic_elevated
+from submodbandit.catalog import (
+    experiment_cover,
+    harmonic_base,
+    harmonic_elevated,
+    unique_path,
+)
 from submodbandit.errors import CardinalityExceeded, OutOfRange
+from submodbandit.sets import masks_upto
 from submodbandit.verify import FULL_ENUM_CAP
 
 
@@ -107,6 +115,64 @@ def test_benchmark_dp_equals_enumeration(seed):
     enum = enumerate_benchmark(spec, 3)
     assert dp.value == enum.value
 
+
+
+def _order_cost(spec, k, order):
+    # summed like the enumeration: slack by slack, then f(final)
+    chain = chain_from_order(spec, k, order)
+    return chain.total_slack() + spec.value_of_mask(chain.final_set().mask), chain
+
+
+def _tied_table(seed, n, k):
+    # values on a grid of quarters, so many chains cost exactly the same
+    rng = np.random.default_rng(seed)
+    table = {
+        mask: min(1.0, (mask.bit_count() + int(rng.integers(0, 2))) / 4)
+        for mask in masks_upto(n, k)
+    }
+    table[0] = 0.0
+    return Tabular(n, k, table)
+
+
+@pytest.mark.parametrize(
+    "spec, k",
+    [
+        (harmonic_base(6, 2), 2),
+        (unique_path(4), 4),
+        (_tied_table(1, 5, 3), 3),
+        (_tied_table(2, 6, 2), 2),
+        (_tied_table(3, 4, 4), 4),
+        (harmonic_base(6, 2), 1),
+        (_tied_table(4, 5, 1), 1),
+        (unique_path(4), 0),
+    ],
+)
+def test_enumeration_keeps_the_lexicographically_first_minimum(spec, k):
+    best_cost, best_chain = math.inf, None
+    for order in permutations(range(spec.n), k):
+        cost, chain = _order_cost(spec, k, order)
+        if cost < best_cost:
+            best_cost, best_chain = cost, chain
+    enum = enumerate_benchmark(spec, k)
+    assert enum.value == best_cost
+    assert enum.chain == best_chain
+
+
+def test_sampled_enumeration_matches_one_order_at_a_time():
+    # the shape of the sampled verify row: 1,860,480 orders, over the cap
+    spec, k = harmonic_elevated(20, 5), 5
+    assert math.perm(20, k) > FULL_ENUM_CAP
+    rng = np.random.default_rng(0)
+    best_cost, best_chain = math.inf, None
+    for _ in range(50_000):
+        order = tuple(int(a) for a in rng.permutation(20)[:k])
+        cost, chain = _order_cost(spec, k, order)
+        if cost < best_cost:
+            best_cost, best_chain = cost, chain
+    enum = enumerate_benchmark(spec, k, max_chains=FULL_ENUM_CAP)
+    assert enum.value == best_cost
+    assert enum.chain == best_chain
+    assert enum.value >= greedy_benchmark(spec, k).value
 
 def test_chain_from_order_rejects_bad_items():
     # ranks index the table, so a negative item must not wrap around

@@ -156,9 +156,9 @@ def test_ucb_all_log_growth_of_worse_arm():
     T = 10_000
     env = _fresh(spec, 0.0, 0)
     traj = _trajectory(UcbAllPolicy(), env, 1, T)
-    worse = env.pull_counts[0b10]
+    worse = env.pull_counts[ItemSet(0b10)]
     assert worse <= 32 * math.log(T) + 1
-    assert env.pull_counts[0b01] > worse
+    assert env.pull_counts[ItemSet(0b01)] > worse
 
 
 def test_ucb_all_best_arm_dominates_counts():
@@ -166,9 +166,9 @@ def test_ucb_all_best_arm_dominates_counts():
     env = _fresh(cover, 0.0, 3)
     _flat_over_supersets(env, 10_000, k, ItemSet.of([0, 5, 10]))
     counts = env.pull_counts
-    best_mask = ItemSet.of([0, 5, 10, 14]).mask
-    assert counts[best_mask] == max(counts.values())
-    assert all(c < counts[best_mask] for m, c in counts.items() if m != best_mask)
+    best = ItemSet.of([0, 5, 10, 14])
+    assert counts[best] == max(counts.values())
+    assert all(c < counts[best] for S, c in counts.items() if S != best)
 
 
 def test_ucb_all_too_many_arms():
