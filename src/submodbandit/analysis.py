@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .envs import BanditEnv
 from .errors import CheckpointOutOfRange, PreconditionViolated, ZeroSigma
 from .functions import SetFunction
@@ -173,8 +175,9 @@ def regret_report(
     """Pseudo-regret of ``env``'s trajectory against the optimum, its
     ratio-scaled value and B, all taken from ``summary``.
 
-    Pulled values are read through ``env.value_of_mask``, so the env's cache
-    is the only point cache a cell keeps.
+    Pulled values come from the spec, once per entry of the trajectory's
+    table (a policy run lists each arm once per phase), and the cumulative
+    value is a running sum from 0.0, left to right.
     """
     traj = env.trajectory
     cps = sorted(set(int(t) for t in checkpoints))
@@ -182,21 +185,19 @@ def regret_report(
         raise CheckpointOutOfRange(
             f"checkpoints must lie in [1, {len(traj)}]; got {cps[0]}..{cps[-1]}"
         )
+    cums = np.cumsum(np.concatenate(([0.0], traj.values(env.spec.value_of_mask))))
     rows = []
-    want = set(cps)
-    cum = 0.0
-    for t, mask in enumerate(traj.masks(), start=1):
-        cum += env.value_of_mask(mask)
-        if t in want:
-            rows.append(
-                CheckpointRow(
-                    t=t,
-                    cum_reward=cum,
-                    regret_opt=t * summary.f_star - cum,
-                    regret_alpha=t * summary.alpha * summary.f_star - cum,
-                    regret_gr=t * summary.benchmark - cum,
-                )
+    for t in cps:
+        cum = float(cums[t])
+        rows.append(
+            CheckpointRow(
+                t=t,
+                cum_reward=cum,
+                regret_opt=t * summary.f_star - cum,
+                regret_alpha=t * summary.alpha * summary.f_star - cum,
+                regret_gr=t * summary.benchmark - cum,
             )
+        )
     return RegretReport(
         f_star=summary.f_star,
         alpha=summary.alpha,

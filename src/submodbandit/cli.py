@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``run CONFIG``        -- execute an experiment grid, write results.csv and
-                           manifest.json (``--jobs N`` for parallel cells,
+                           manifest.json (``--jobs N`` for parallel groups,
                            ``--out DIR`` to override the output directory).
 * ``verify TARGET...``  -- structural check table per instance; TARGET is a
                            built-in name, ``all`` for the whole battery, or a

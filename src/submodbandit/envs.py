@@ -3,8 +3,10 @@
 A :class:`BanditEnv` owns a seeded Gaussian noise stream and records every
 pull.  Identical (spec, sigma, seed) and identical pull sequences produce
 bit-identical reward sequences; noise values are consumed one per pull from
-an internally buffered generator.  Rewards are *not* clipped: the mean lies
-in [0, 1] but observations may leave the interval.
+an internally buffered generator, whether the pulls come one at a time
+(``pull``) or as a block recorded by the lockstep policy engine
+(``fill_noise`` and ``Trajectory.extend``).  Rewards are *not* clipped: the
+mean lies in [0, 1] but observations may leave the interval.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
+from typing import Callable
 
 import numpy as np
 
@@ -23,37 +26,94 @@ _NOISE_BLOCK = 1024
 
 
 class Trajectory:
-    """Time-ordered record of pulled sets and observed rewards."""
+    """Time-ordered record of pulled sets and observed rewards.
 
-    __slots__ = ("_masks", "_rewards")
+    The record is compact: ``_table`` lists masks, and the first ``_len``
+    entries of ``_codes`` (integers) and ``_rewards`` (float64) hold each
+    step's position in the table and its reward; the arrays may have spare
+    capacity.
+    ``append`` adds one step; ``extend`` adds a block of steps over a table of
+    its own, so a policy run is recorded without a Python object per step.
+    """
+
+    __slots__ = ("_table", "_codes", "_rewards", "_len")
 
     def __init__(self):
-        self._masks: list[int] = []
-        self._rewards: list[float] = []
+        self._table: list[int] = []
+        self._codes = np.empty(0, np.int32)
+        self._rewards = np.empty(0)
+        self._len = 0
+
+    def _reserve(self, extra: int) -> None:
+        need = self._len + extra
+        if need > self._codes.size:
+            size = max(need, 2 * self._codes.size, 64)
+            codes, rewards = np.empty(size, np.int32), np.empty(size)
+            codes[: self._len] = self._codes[: self._len]
+            rewards[: self._len] = self._rewards[: self._len]
+            self._codes, self._rewards = codes, rewards
 
     def append(self, mask: int, reward: float) -> None:
-        self._masks.append(mask)
-        self._rewards.append(reward)
+        self._reserve(1)
+        self._codes[self._len] = len(self._table)
+        self._rewards[self._len] = reward
+        self._table.append(mask)
+        self._len += 1
+
+    def extend(self, table: list[int], codes: np.ndarray, rewards: np.ndarray) -> None:
+        """Append one step per code: step i pulled ``table[codes[i]]`` and
+        observed ``rewards[i]``.  An empty trajectory keeps the given arrays
+        without copying them, so the caller must not write to them after."""
+        codes, rewards = np.asarray(codes), np.asarray(rewards, np.float64)
+        if self._len == 0:
+            self._table, self._codes, self._rewards = list(table), codes, rewards
+        else:
+            self._reserve(codes.size)
+            end = self._len + codes.size
+            self._codes[self._len : end] = codes
+            self._codes[self._len : end] += len(self._table)
+            self._rewards[self._len : end] = rewards
+            self._table.extend(table)
+        self._len += codes.size
 
     def __len__(self) -> int:
-        return len(self._masks)
+        return self._len
 
     def masks(self) -> list[int]:
-        return list(self._masks)
+        table = self._table
+        return [table[c] for c in self._codes[: self._len].tolist()]
 
     def rewards(self) -> list[float]:
-        return list(self._rewards)
+        return self._rewards[: self._len].tolist()
+
+    def values(self, fn: Callable[[int], float]) -> np.ndarray:
+        """``fn(mask)`` at every step as a float64 array; ``fn`` is called once
+        per table entry, not once per step."""
+        return np.array([fn(mask) for mask in self._table], dtype=np.float64)[
+            self._codes[: self._len]
+        ]
+
+    def mask_counts(self) -> Counter[int]:
+        """Pulls per mask, keyed in order of first pull."""
+        used, first, counts = np.unique(
+            self._codes[: self._len], return_index=True, return_counts=True
+        )
+        order = np.argsort(first)
+        out: Counter[int] = Counter()
+        for code, count in zip(used[order].tolist(), counts[order].tolist()):
+            out[self._table[code]] += count
+        return out
 
     def steps(self):
         """Yield (t, ItemSet, reward) with t starting at 1."""
-        for t, (mask, r) in enumerate(zip(self._masks, self._rewards), start=1):
+        for t, (mask, r) in enumerate(zip(self.masks(), self.rewards()), start=1):
             yield t, ItemSet(mask), r
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["t", "set", "reward"])
-        for t, (mask, r) in enumerate(zip(self._masks, self._rewards), start=1):
+        for t, (mask, r) in enumerate(zip(self.masks(), self.rewards()), start=1):
             writer.writerow([t, render_mask(mask), f"{r:.17g}"])
         return buf.getvalue()
 
@@ -76,8 +136,8 @@ class Trajectory:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Trajectory)
-            and self._masks == other._masks
-            and self._rewards == other._rewards
+            and self.masks() == other.masks()
+            and self.rewards() == other.rewards()
         )
 
 
@@ -108,6 +168,23 @@ class BanditEnv:
         self._noise_pos += 1
         return float(g)
 
+    def fill_noise(self, out: np.ndarray) -> None:
+        """Fill ``out`` with the next ``out.size`` noise values, the ones that
+        many single pulls would consume.  Whole blocks are drawn straight into
+        ``out``: the generator's normal stream does not depend on how the
+        draws are chunked."""
+        buffered = self._noise_buf[self._noise_pos : self._noise_pos + out.size]
+        out[: buffered.size] = buffered
+        self._noise_pos += buffered.size
+        rest = out[buffered.size :]
+        whole = rest.size - rest.size % _NOISE_BLOCK
+        if whole:
+            self._rng.standard_normal(out=rest[:whole])
+        if whole < rest.size:
+            self._noise_buf = self._rng.standard_normal(_NOISE_BLOCK)
+            self._noise_pos = rest.size - whole
+            rest[whole:] = self._noise_buf[: self._noise_pos]
+
     def value_of_mask(self, mask: int) -> float:
         v = self._value_cache.get(mask)
         if v is None:
@@ -129,8 +206,11 @@ class BanditEnv:
     def pull_counts(self) -> Counter[ItemSet]:
         """Pulls per set, counted from the trajectory; the pull profile
         ``analysis.kl_between`` takes."""
-        return Counter(map(ItemSet, self.trajectory.masks()))
+        return Counter({ItemSet(mask): c for mask, c in self.trajectory.mask_counts().items()})
 
     def counts_by_cardinality(self) -> dict[int, int]:
         """Total pulls per set size; values sum to t."""
-        return dict(Counter(mask.bit_count() for mask in self.trajectory.masks()))
+        out: dict[int, int] = {}
+        for mask, count in self.trajectory.mask_counts().items():
+            out[mask.bit_count()] = out.get(mask.bit_count(), 0) + count
+        return out

@@ -4,10 +4,13 @@ A run is a grid of cells (policy, horizon, trial).  Each cell derives its
 seed from a stable 64-bit hash of (base_seed, policy index, T, trial), runs
 its policy against a fresh environment and reports pseudo-regret at the
 requested checkpoints against the exact benchmarks, which the run computes
-once and hands to every cell.  Cells are independent, so they may be
-executed in any order or in parallel; results are merged in (policy, T,
-trial, checkpoint) order and written with 17 significant digits, which makes
-results.csv byte-identical across runs and across worker counts.
+once and hands to every cell.  The trials of one (policy, T) group run in
+lockstep as one batch (``Policy.run_batch``), and each trial's trajectory is
+the one it would have alone.  Groups are independent, so they may be
+executed in any order or in parallel (``jobs`` worker processes, one group
+at a time each); results are merged in (policy, T, trial, checkpoint) order
+and written with 17 significant digits, which makes results.csv
+byte-identical across runs and across worker counts.
 """
 
 from __future__ import annotations
@@ -195,19 +198,20 @@ def checkpoint_grid(checkpoints: str | tuple[int, ...], T: int) -> tuple[int, ..
     return tuple(t for t in checkpoints)
 
 
-def _run_cell(cell: tuple) -> list[str]:
-    """Worker: one (policy, T, trial) cell; returns formatted CSV lines."""
-    spec, summary, policy, k, sigma, T, trial, seed, cps = cell
-    env = BanditEnv(spec, sigma, seed)
-    policy.run(env, k, T)
-    report = regret_report(env, summary, cps)
+def _run_group(group: tuple) -> list[str]:
+    """Worker: every trial of one (policy, T) group, in lockstep; returns
+    formatted CSV lines in (trial, checkpoint) order."""
+    spec, summary, policy, k, sigma, T, seeds, cps = group
+    envs = [BanditEnv(spec, sigma, seed) for seed in seeds]
+    policy.run_batch(envs, k, T)
     lines = []
-    for row in report.checkpoints:
-        lines.append(
-            f"{policy.label},{T},{trial},{seed},{row.t},"
-            f"{row.cum_reward:.17g},{row.regret_opt:.17g},"
-            f"{row.regret_alpha:.17g},{row.regret_gr:.17g}"
-        )
+    for trial, (seed, env) in enumerate(zip(seeds, envs)):
+        for row in regret_report(env, summary, cps).checkpoints:
+            lines.append(
+                f"{policy.label},{T},{trial},{seed},{row.t},"
+                f"{row.cum_reward:.17g},{row.regret_opt:.17g},"
+                f"{row.regret_alpha:.17g},{row.regret_gr:.17g}"
+            )
     return lines
 
 
@@ -216,9 +220,14 @@ def run_experiment(
 ) -> tuple[Path, Path]:
     """Execute every cell, write results.csv and manifest.json.
 
-    Returns (results_path, manifest_path).  Raises GroundSetTooLarge or
-    TooManyArms before any file is written when a resource guard trips.
+    ``jobs`` is the number of worker processes, one (policy, T) group at a
+    time each; 1 runs serially.  Returns (results_path, manifest_path).
+    Raises ValueError on a ``jobs`` below 1, and GroundSetTooLarge or
+    TooManyArms when a resource guard trips, before any cell runs or any
+    file is written.
     """
+    if not is_int(jobs) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1; got {jobs!r}")
     out = Path(output_dir if output_dir is not None else config.output_dir)
 
     # resource guards fail fast, cheapest first: resolve() (TooManyArms), then
@@ -230,15 +239,13 @@ def run_experiment(
         for T in sorted(config.T_grid)
     ]
     summary = benchmark_summary(config.function, config.k)
-    cells = []
+    groups = []
     manifest_cells = []
     for p_idx, policy, T, l, m in grid:
         cps = checkpoint_grid(config.checkpoints, T)
-        for trial in range(config.trials):
-            seed = derive_seed(config.base_seed, p_idx, T, trial)
-            cells.append(
-                (config.function, summary, policy, config.k, config.sigma, T, trial, seed, cps)
-            )
+        seeds = [derive_seed(config.base_seed, p_idx, T, trial) for trial in range(config.trials)]
+        groups.append((config.function, summary, policy, config.k, config.sigma, T, seeds, cps))
+        for trial, seed in enumerate(seeds):
             manifest_cells.append(
                 {
                     "policy": policy.label,
@@ -253,15 +260,15 @@ def run_experiment(
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_cell, cells, chunksize=1))
+            results = list(pool.map(_run_group, groups, chunksize=1))
     else:
-        results = [_run_cell(cell) for cell in cells]
+        results = [_run_group(group) for group in groups]
 
     out.mkdir(parents=True, exist_ok=True)
     results_path = out / "results.csv"
     lines = [",".join(RESULTS_HEADER)]
-    for cell_lines in results:
-        lines.extend(cell_lines)
+    for group_lines in results:
+        lines.extend(group_lines)
     results_path.write_text("\n".join(lines) + "\n")
 
     manifest_path = out / "manifest.json"

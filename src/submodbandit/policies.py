@@ -12,49 +12,53 @@ Each policy is one frozen dataclass that owns its whole protocol:
 * ``resolve(n, k, T) -> (l, m)`` -- the stop level and per-arm budget used at
   horizon T (None where the policy has none).  It raises InvalidStopLevel
   and TooManyArms before any pull.
-* ``run(env, k, T)`` -- pull sets of size at most k for exactly T steps
-  against a :class:`~submodbandit.envs.BanditEnv` and return the greedy
-  levels it fixed; the trajectory stays on ``env.trajectory``.
+* ``run_batch(envs, k, T)`` -- pull sets of size at most k for exactly T
+  steps against every :class:`~submodbandit.envs.BanditEnv` of a batch that
+  shares one spec, sigma and t, and return each env's greedy levels; the
+  trajectories stay on ``env.trajectory``.  ``run(env, k, T)`` is a batch of
+  one.
 
 Every run is the same two phases.  The greedy phase fixes ``l`` levels,
 adding one item to the base set per level; the flat phase then runs the
-index loop with m = infinity over every size-k superset of the base.  A
+index rule with m = infinity over every size-k superset of the base.  A
 level's candidates are the base plus one item not in it, and it picks one
 of them by one of two sampling rules:
 
 * uniform -- sample every candidate m times in item order and keep the
   first maximum of the empirical means;
-* optimistic -- run the index loop over the candidates until the index
-  argmax already has m pulls, and keep that argmax.
+* optimistic -- pull each candidate once in order, then the index argmax,
+  until the index argmax already has m pulls, and keep that argmax.
 
-Level 1 always samples uniformly, so an optimistic level 1 starts its
-index loop from m samples of every singleton.  The three policies:
+Level 1 always samples uniformly, so an optimistic level 1 applies the index
+rule to m samples of every singleton.  The three policies:
 
 * ``SubUcbPolicy`` -- ``l`` optimistic levels, then the flat phase.
 * ``EtcgPolicy`` -- explore-then-commit greedy: ``l = k`` uniform levels,
   after which the flat phase has the one committed set to pull.
 * ``UcbAllPolicy`` -- ``l = 0``: the flat phase over every size-k arm.
 
-The index loop pulls each unpulled arm once, in order, and then the arm of
-largest index  mean + sqrt(8 * ln(t) / T_a)  with t the global count of
-completed pulls, natural logarithm and T_a the arm's pulls; ties resolve
-to the first arm (candidates ascend by item, flat arms by lexicographic
-member tuple).  Every pull is gated on t < T, so a run stops mid-phase
-when the budget is exhausted and the trajectory has exactly T steps.
+The index of an arm is  mean + sqrt(8 * ln(t) / T_a)  with t the global count
+of completed pulls, natural logarithm and T_a the arm's pulls (UCB1's index);
+ties resolve to the first arm (candidates ascend by item, flat arms by
+lexicographic member tuple).  Every pull is gated on t < T, so a run stops
+mid-phase when the budget is exhausted and the trajectory has exactly T
+steps; a level whose rule is already met at t = T is still fixed.
+
+The phases run in :mod:`~submodbandit.lockstep`, which steps every env of a
+batch together; each env's trajectory, levels and rewards are those of the
+same env run alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import combinations
-
-import numpy as np
 
 from .analysis import auto_stop_level
 from .envs import BanditEnv
 from .errors import CardinalityExceeded, InvalidStopLevel, TooManyArms
 from .functions import is_int
+from .lockstep import greedy_then_flat
 from .sets import ItemSet
 
 MAX_ARMS = 10**6
@@ -80,68 +84,6 @@ def _check_arm_count(n: int, k: int, base_size: int) -> None:
     count = math.comb(n - base_size, k - base_size)
     if count > MAX_ARMS:
         raise TooManyArms(f"{count} super-arms exceeds the cap {MAX_ARMS}")
-
-
-def _superarm_masks(n: int, k: int, base_mask: int) -> list[int]:
-    """All size-k supersets of base, in lexicographic member order."""
-    free = [a for a in range(n) if not (base_mask >> a) & 1]
-    size = k - base_mask.bit_count()
-    return [base_mask | sum(1 << a for a in combo) for combo in combinations(free, size)]
-
-
-def _index_loop(
-    env: BanditEnv, arms: list[int], m: float, T: int, counts=None, sums=None
-) -> int | None:
-    """Pull each unpulled arm once, then the index argmax, starting from the
-    given per-arm pulls and reward sums (none by default).  Return the
-    argmax's position once it already has m pulls, or None at t = T."""
-    if counts is None:
-        counts, sums = np.zeros(len(arms)), np.zeros(len(arms))
-    for j in np.flatnonzero(counts == 0).tolist():
-        if env.t >= T:
-            return None
-        sums[j] += env.pull_mask(arms[j])
-        counts[j] += 1.0
-    while True:
-        j = int(np.argmax(sums / counts + np.sqrt(8.0 * math.log(env.t) / counts)))
-        if counts[j] >= m:
-            return j
-        if env.t >= T:
-            return None
-        sums[j] += env.pull_mask(arms[j])
-        counts[j] += 1.0
-
-
-def _greedy_then_flat(
-    env: BanditEnv, k: int, T: int, l: int, m: int | None, uniform: bool
-) -> list[ItemSet]:
-    """Fix l greedy levels by the uniform or optimistic rule, then run the
-    flat phase over the size-k supersets of the base; return the levels."""
-    n = env.spec.n
-    levels = []
-    base = 0
-    for level in range(l):
-        arms = [base | (1 << a) for a in range(n) if not (base >> a) & 1]
-        counts, sums = np.zeros(len(arms)), np.zeros(len(arms))
-        if level == 0 or uniform:
-            for j, arm in enumerate(arms):
-                total = 0.0
-                for _ in range(m):
-                    if env.t >= T:
-                        return levels
-                    total += env.pull_mask(arm)
-                sums[j] = total
-            counts[:] = m
-        if uniform:
-            j = int(np.argmax(sums / m))
-        else:
-            j = _index_loop(env, arms, m, T, counts, sums)
-            if j is None:
-                return levels
-        base = arms[j]
-        levels.append(ItemSet(base))
-    _index_loop(env, _superarm_masks(n, k, base), math.inf, T)
-    return levels
 
 
 class _Policy:
@@ -182,6 +124,10 @@ class _Policy:
                 doc[f.name] = value
         return doc
 
+    def run(self, env: BanditEnv, k: int, T: int) -> list[ItemSet]:
+        """Run one env: a batch of one."""
+        return self.run_batch([env], k, T)[0]
+
 
 @dataclass(frozen=True)
 class UcbAllPolicy(_Policy):
@@ -196,9 +142,9 @@ class UcbAllPolicy(_Policy):
         _check_arm_count(n, k, 0)
         return None, None
 
-    def run(self, env: BanditEnv, k: int, T: int) -> list[ItemSet]:
-        self.resolve(env.spec.n, k, T)
-        return _greedy_then_flat(env, k, T, 0, None, uniform=False)
+    def run_batch(self, envs: list[BanditEnv], k: int, T: int) -> list[list[ItemSet]]:
+        self.resolve(envs[0].spec.n, k, T)
+        return greedy_then_flat(envs, k, T, 0, None, uniform=False)
 
 
 @dataclass(frozen=True)
@@ -214,9 +160,9 @@ class EtcgPolicy(_Policy):
         _check_cardinality(n, k)
         return None, self.m or default_m(T, n)
 
-    def run(self, env: BanditEnv, k: int, T: int) -> list[ItemSet]:
-        _, m = self.resolve(env.spec.n, k, T)
-        return _greedy_then_flat(env, k, T, k, m, uniform=True)
+    def run_batch(self, envs: list[BanditEnv], k: int, T: int) -> list[list[ItemSet]]:
+        _, m = self.resolve(envs[0].spec.n, k, T)
+        return greedy_then_flat(envs, k, T, k, m, uniform=True)
 
 
 @dataclass(frozen=True)
@@ -227,9 +173,10 @@ class SubUcbPolicy(_Policy):
     ``auto_stop_level``); ``m`` is the per-arm budget (None = default_m).
     The greedy phase fixes l optimistic levels: level 1 samples every
     singleton m times and keeps the index argmax over those samples; each
-    later level pulls the index argmax of its candidates until that argmax
-    already has m pulls.  The flat phase then runs the index loop over every
-    size-k superset of the base; at l = 0 that is ``UcbAllPolicy``'s run.
+    later level pulls every candidate once and then the index argmax until
+    that argmax already has m pulls.  The flat phase then applies the index
+    rule to every size-k superset of the base; at l = 0 that is
+    ``UcbAllPolicy``'s run.
     """
 
     l: int | str = AUTO
@@ -255,9 +202,9 @@ class SubUcbPolicy(_Policy):
         _check_arm_count(n, k, l)
         return l, m
 
-    def run(self, env: BanditEnv, k: int, T: int) -> list[ItemSet]:
-        l, m = self.resolve(env.spec.n, k, T)
-        return _greedy_then_flat(env, k, T, l, m, uniform=False)
+    def run_batch(self, envs: list[BanditEnv], k: int, T: int) -> list[list[ItemSet]]:
+        l, m = self.resolve(envs[0].spec.n, k, T)
+        return greedy_then_flat(envs, k, T, l, m, uniform=False)
 
 
 Policy = SubUcbPolicy | EtcgPolicy | UcbAllPolicy

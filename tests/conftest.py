@@ -7,11 +7,12 @@ implementations so the two routes cross-check each other.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
 
-from submodbandit import Tabular
+from submodbandit import ItemSet, Tabular
 
 
 def random_monotone_submodular(seed: int, n: int, k: int) -> Tabular:
@@ -140,3 +141,46 @@ def enumerate_chain_costs(spec, k: int):
 
 def pulled_sets_ok(traj, k: int) -> bool:
     return all(1 <= mask.bit_count() <= k for mask in traj.masks())
+
+
+def naive_greedy_then_flat(env, k: int, T: int, l: int, m, uniform: bool) -> list:
+    """The policies' two phases on one env, one ``pull_mask`` at a time: l
+    greedy levels (uniform or optimistic), then the index loop over the
+    size-k supersets of the base.  Returns the levels."""
+    n = env.spec.n
+
+    def index_loop(arms, m, counts, sums):
+        for j in np.flatnonzero(counts == 0).tolist():
+            if env.t >= T:
+                return None
+            sums[j] += env.pull_mask(arms[j])
+            counts[j] += 1.0
+        while True:
+            j = int(np.argmax(sums / counts + np.sqrt(8.0 * math.log(env.t) / counts)))
+            if counts[j] >= m:
+                return j
+            if env.t >= T:
+                return None
+            sums[j] += env.pull_mask(arms[j])
+            counts[j] += 1.0
+
+    levels, base = [], 0
+    for level in range(l):
+        arms = [base | (1 << a) for a in range(n) if not (base >> a) & 1]
+        counts, sums = np.zeros(len(arms)), np.zeros(len(arms))
+        if level == 0 or uniform:
+            for j, arm in enumerate(arms):
+                for _ in range(m):
+                    if env.t >= T:
+                        return levels
+                    sums[j] += env.pull_mask(arm)
+            counts[:] = m
+        j = int(np.argmax(sums / m)) if uniform else index_loop(arms, m, counts, sums)
+        if j is None:
+            return levels
+        base = arms[j]
+        levels.append(ItemSet(base))
+    free = [a for a in range(n) if not (base >> a) & 1]
+    flat = [base | sum(1 << a for a in c) for c in combinations(free, k - l)]
+    index_loop(flat, math.inf, np.zeros(len(flat)), np.zeros(len(flat)))
+    return levels

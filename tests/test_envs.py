@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from submodbandit import BanditEnv, HarmonicInstance, ItemSet, Trajectory, evaluate
+from collections import Counter
+
+from submodbandit import BanditEnv, HarmonicInstance, ItemSet, Trajectory, UcbAllPolicy, evaluate
 from submodbandit.catalog import experiment_cover
 from submodbandit.errors import CardinalityExceeded, NegativeSigma
 
@@ -109,3 +111,45 @@ def test_steps_are_one_based():
     steps = list(env.trajectory.steps())
     assert [t for t, _, _ in steps] == [1, 2]
     assert steps[1][1] == ItemSet.of([1])
+
+
+def test_bulk_and_single_pulls_keep_one_record():
+    # hand pulls, a policy run recorded in bulk across two noise blocks, hand
+    # pulls again: the record reads as if every step had been pulled by hand
+    spec = HarmonicInstance(6, 2, 1 / 32)
+    env = BanditEnv(spec, 1.0, 31)
+    for S in [ItemSet.of([0]), ItemSet.of([1, 2]), ItemSet.of([0])]:
+        env.pull(S)
+    UcbAllPolicy().run(env, 2, 1500)
+    for S in [ItemSet.of([3]), ItemSet.of([0, 1]), ItemSet.empty()]:
+        env.pull(S)
+    traj = env.trajectory
+    assert len(traj) == env.t == 1503
+    by_hand = BanditEnv(spec, 1.0, 31)
+    for mask in traj.masks():
+        by_hand.pull_mask(mask)
+    assert traj == by_hand.trajectory
+    assert traj.rewards() == by_hand.trajectory.rewards()
+    assert traj.to_csv() == by_hand.trajectory.to_csv()
+    assert list(traj.steps()) == list(by_hand.trajectory.steps())
+    assert Trajectory.from_csv(traj.to_csv()) == traj
+    counts = Counter(map(ItemSet, traj.masks()))
+    assert env.pull_counts == counts == by_hand.pull_counts
+    assert list(env.pull_counts) == list(counts)  # keyed in order of first pull
+    sizes = Counter(mask.bit_count() for mask in traj.masks())
+    assert env.counts_by_cardinality() == dict(sizes) == by_hand.counts_by_cardinality()
+    values = [evaluate(spec, ItemSet(mask)) for mask in traj.masks()]
+    assert traj.values(env.value_of_mask).tolist() == values
+
+
+def test_trajectory_extend_appends_a_table_of_its_own():
+    traj = Trajectory()
+    traj.append(0b11, 0.5)
+    traj.extend([0b01, 0b10], np.array([1, 1, 0]), np.array([0.25, -1.0, 2.0]))
+    traj.append(0b10, 3.0)
+    assert traj.masks() == [0b11, 0b10, 0b10, 0b01, 0b10]
+    assert traj.rewards() == [0.5, 0.25, -1.0, 2.0, 3.0]
+    fresh = Trajectory()
+    fresh.extend([0b100], np.zeros(2, np.int32), np.array([1.0, 2.0]))
+    fresh.append(0b1, 0.0)
+    assert fresh.masks() == [0b100, 0b100, 0b1] and len(fresh) == 3

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_monotone_submodular
+from submodbandit import experiments, lockstep
 from submodbandit.catalog import experiment_cover, harmonic_base, harmonic_elevated
 from submodbandit.errors import ConfigError, GroundSetTooLarge, TooManyArms
 from submodbandit.experiments import (
@@ -154,6 +155,39 @@ def test_run_experiment_deterministic_across_jobs(tmp_path):
         r2, m2 = run_experiment(cfg, jobs=4, output_dir=tmp_path / name / "b")
         assert r1.read_bytes() == r2.read_bytes()
         assert m1.read_bytes() == m2.read_bytes()
+
+
+def test_run_experiment_rejects_jobs_below_one(tmp_path, monkeypatch):
+    cfg = config_from_json(_base_doc())
+    monkeypatch.setattr(experiments, "BanditEnv", lambda *args: pytest.fail("a cell ran"))
+    for jobs in (0, -2, True, 1.0):
+        with pytest.raises(ValueError, match="jobs"):
+            run_experiment(cfg, jobs=jobs, output_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+
+def test_row_cap_splits_groups_without_changing_results(tmp_path, monkeypatch):
+    doc = _base_doc(
+        T_grid=[20, 45],
+        trials=5,
+        policies=[{"kind": "sub_ucb", "l": 1, "m": 2}, {"kind": "etcg", "m": 1}, {"kind": "ucb_all"}],
+    )
+    cfg = config_from_json(doc)
+    whole = run_experiment(cfg, output_dir=tmp_path / "whole")
+    batches = []
+    batch = lockstep.Lockstep
+
+    def spy(envs, *args):
+        batches.append(len(envs))
+        return batch(envs, *args)
+
+    monkeypatch.setattr(lockstep, "Lockstep", spy)
+    # rows of 6 candidates go two to a batch, rows of C(6, 2) = 15 flat arms one
+    monkeypatch.setattr(lockstep, "MAX_BATCH_CELLS", 12)
+    split = run_experiment(cfg, output_dir=tmp_path / "split")
+    assert batches == [2, 2, 1] * 4 + [1] * 10
+    for a, b in zip(whole, split):
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_run_experiment_resource_guards(tmp_path, monkeypatch):

@@ -1,10 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pulled_sets_ok
+from conftest import naive_greedy_then_flat, pulled_sets_ok, random_monotone_submodular
 from submodbandit import (
     BanditEnv,
     EtcgPolicy,
@@ -17,9 +17,10 @@ from submodbandit import (
     evaluate,
     exact_greedy,
 )
+from submodbandit.functions import SetFunction
 from submodbandit.catalog import experiment_cover, harmonic_base
 from submodbandit.errors import InvalidStopLevel, TooManyArms
-from submodbandit.policies import _index_loop, _superarm_masks
+from submodbandit.lockstep import superarm_masks
 from submodbandit.sets import masks_upto
 
 
@@ -40,8 +41,36 @@ def _trajectory(policy, env, k, T):
     return env.trajectory
 
 
+class _Contraction(SetFunction):
+    """S -> f(base | S) over the items outside base, renumbered in order, for
+    sets of up to k items."""
+
+    def __init__(self, spec, base, k):
+        self.spec, self.base, self.k = spec, base, k
+        self.free = [a for a in range(spec.n) if a not in base]
+        self.n = len(self.free)
+
+    @property
+    def k_max(self):
+        return self.k
+
+    def expand(self, mask):
+        return self.base.mask | sum(1 << a for i, a in enumerate(self.free) if (mask >> i) & 1)
+
+    def _value(self, mask):
+        return self.spec.value_of_mask(self.expand(mask))
+
+
 def _flat_over_supersets(env, T, k, base):
-    _index_loop(env, _superarm_masks(env.spec.n, k, base.mask), math.inf, T)
+    """The flat phase over the size-k supersets of base, pulled on env: flat
+    UCB on the contraction, whose arms come in the same order with the same
+    values, replayed set by set on the same noise stream."""
+    contraction = _Contraction(env.spec, base, k - len(base))
+    solo = BanditEnv(contraction, env.sigma, env.seed)
+    UcbAllPolicy().run(solo, contraction.k, T)
+    for mask in solo.trajectory.masks():
+        env.pull_mask(contraction.expand(mask))
+    assert env.trajectory.rewards() == solo.trajectory.rewards()
     return env.trajectory
 
 
@@ -138,7 +167,7 @@ def test_superarm_masks_are_the_size_k_supersets_in_masks_upto_order(data):
     order = data.draw(st.permutations(range(n)))
     base = sum(1 << a for a in order[: data.draw(st.integers(min_value=0, max_value=k))])
     expected = [m for m in masks_upto(n, k) if m.bit_count() == k and m & base == base]
-    assert _superarm_masks(n, k, base) == expected
+    assert superarm_masks(n, k, base) == expected
 
 
 def test_ucb_all_initialization_round():
@@ -256,3 +285,58 @@ def test_policy_json_roundtrip_and_default_labels():
         assert policy_from_json(doc) == policy
         assert pickle.loads(pickle.dumps(policy)) == policy
     assert policy_from_json({"kind": "etcg", "m": 3}) == EtcgPolicy(m=3, label="etcg")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_batch_rows_equal_solo_runs(data):
+    """Rows of one lockstep batch fall out of step (levels close at different
+    t); each must still pull, observe and fix what the env does alone, and
+    what the one-pull-at-a-time reference does, under every policy."""
+    n = data.draw(st.integers(min_value=2, max_value=6), label="n")
+    k = data.draw(st.integers(min_value=1, max_value=min(n, 3)), label="k")
+    spec = random_monotone_submodular(data.draw(st.integers(0, 2**16), label="table"), n, k)
+    m = data.draw(st.sampled_from([1, 2, 3]), label="m")
+    sigma = data.draw(st.sampled_from([0.0, 0.5]), label="sigma")
+    T = data.draw(st.integers(min_value=1, max_value=30 * n), label="T")
+    seeds = data.draw(
+        st.lists(st.integers(0, 2**32), min_size=1, max_size=5, unique=True), label="seeds"
+    )
+    runs = [(SubUcbPolicy(l=l, m=m), l, False) for l in range(k + 1)]
+    runs += [(EtcgPolicy(m=m), k, True), (UcbAllPolicy(), 0, False)]
+    for policy, l, uniform in runs:
+        batch = [BanditEnv(spec, sigma, seed) for seed in seeds]
+        levels = policy.run_batch(batch, k, T)
+        for seed, env, env_levels in zip(seeds, batch, levels):
+            alone = BanditEnv(spec, sigma, seed)
+            assert policy.run(alone, k, T) == env_levels
+            assert alone.trajectory.to_csv() == env.trajectory.to_csv()
+            reference = BanditEnv(spec, sigma, seed)
+            assert naive_greedy_then_flat(reference, k, T, l, m, uniform) == env_levels
+            assert reference.trajectory.to_csv() == env.trajectory.to_csv()
+
+
+def test_batch_rows_out_of_step_match_the_reference():
+    # with noise, rows close the optimistic levels at different t, so some
+    # steps see rows in a sweep next to rows on the index rule
+    for table in range(3):
+        spec = random_monotone_submodular(table, 6, 3)
+        for l, m in [(2, 2), (3, 3)]:
+            batch = [BanditEnv(spec, 0.5, seed) for seed in range(5)]
+            levels = SubUcbPolicy(l=l, m=m).run_batch(batch, 3, 150)
+            third = {[mask.bit_count() for mask in env.trajectory.masks()].index(3) for env in batch}
+            assert len(third) > 1  # the rows reached their third item at different t
+            for seed, env, env_levels in zip(range(5), batch, levels):
+                reference = BanditEnv(spec, 0.5, seed)
+                assert naive_greedy_then_flat(reference, 3, 150, l, m, False) == env_levels
+                assert reference.trajectory.to_csv() == env.trajectory.to_csv()
+
+
+def test_batch_needs_one_spec_sigma_and_t():
+    spec = harmonic_base(6, 2)
+    with pytest.raises(ValueError, match="one spec, sigma and t"):
+        UcbAllPolicy().run_batch([BanditEnv(spec, 1.0, 0), BanditEnv(spec, 0.5, 1)], 2, 10)
+    moved = BanditEnv(spec, 1.0, 1)
+    moved.pull(ItemSet.of([0]))
+    with pytest.raises(ValueError, match="one spec, sigma and t"):
+        UcbAllPolicy().run_batch([BanditEnv(spec, 1.0, 0), moved], 2, 10)
