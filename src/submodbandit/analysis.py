@@ -16,7 +16,7 @@ The closed-form evaluators (``i_star``, ``minimax_lower_bound``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -89,16 +89,7 @@ class BoundsSheet:
     m: int
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "T": self.T,
-            "l": self.l,
-            "i_star": self.i_star,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "m": self.m,
-        }
+        return asdict(self)
 
 
 def compute_bounds(n: int, k: int, T: int, l: int | None = None) -> BoundsSheet:

@@ -98,7 +98,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    sheet = compute_bounds(args.n, args.k, args.T, args.l)
+    try:
+        sheet = compute_bounds(args.n, args.k, args.T, args.l)
+    except OverflowError as exc:
+        raise ConfigError(f"n={args.n}, T={args.T}: too large for the float evaluators") from exc
     if args.json:
         print(json.dumps(sheet.to_json(), sort_keys=True))
     else:

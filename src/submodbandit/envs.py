@@ -1,18 +1,20 @@
 """Stochastic bandit oracle around a noiseless set function.
 
-A :class:`BanditEnv` owns a seeded Gaussian noise stream and records every
+A :class:`BanditEnv` owns one seeded Gaussian noise stream and records every
 pull.  Identical (spec, sigma, seed) and identical pull sequences produce
-bit-identical reward sequences; noise values are consumed one per pull from
-an internally buffered generator, whether the pulls come one at a time
-(``pull``) or as a block recorded by the lockstep policy engine
-(``fill_noise`` and ``Trajectory.extend``).  Rewards are *not* clipped: the
-mean lies in [0, 1] but observations may leave the interval.
+bit-identical reward sequences.  A single pull (``pull``) and a block of pulls
+recorded by the lockstep policy engine (``fill_noise`` and
+``Trajectory.extend``) read that stream alike, one value per pull in pull
+order: the generator's normal stream does not depend on how the draws are
+chunked.  Rewards are *not* clipped: the mean lies in [0, 1] but observations
+may leave the interval.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import Counter
 from typing import Callable
 
@@ -21,8 +23,6 @@ import numpy as np
 from .errors import NegativeSigma
 from .functions import SetFunction
 from .sets import ItemSet, render_mask
-
-_NOISE_BLOCK = 1024
 
 
 class Trajectory:
@@ -145,62 +145,29 @@ class BanditEnv:
     """Single-owner mutable bandit environment; one noise draw per pull."""
 
     def __init__(self, spec: SetFunction, sigma: float = 1.0, seed: int = 0):
-        if sigma < 0:
-            raise NegativeSigma(f"sigma must be nonnegative; got {sigma}")
+        if not (math.isfinite(sigma) and sigma >= 0):
+            raise NegativeSigma(f"sigma must be finite and nonnegative; got {sigma}")
         self.spec = spec
         self.sigma = float(sigma)
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
-        self._noise_buf = np.empty(0)
-        self._noise_pos = 0
         self.trajectory = Trajectory()
-        self._value_cache: dict[int, float] = {}
 
     @property
     def t(self) -> int:
         return len(self.trajectory)
 
-    def _next_noise(self) -> float:
-        if self._noise_pos >= self._noise_buf.size:
-            self._noise_buf = self._rng.standard_normal(_NOISE_BLOCK)
-            self._noise_pos = 0
-        g = self._noise_buf[self._noise_pos]
-        self._noise_pos += 1
-        return float(g)
-
     def fill_noise(self, out: np.ndarray) -> None:
         """Fill ``out`` with the next ``out.size`` noise values, the ones that
-        many single pulls would consume.  Whole blocks are drawn straight into
-        ``out``: the generator's normal stream does not depend on how the
-        draws are chunked."""
-        buffered = self._noise_buf[self._noise_pos : self._noise_pos + out.size]
-        out[: buffered.size] = buffered
-        self._noise_pos += buffered.size
-        rest = out[buffered.size :]
-        whole = rest.size - rest.size % _NOISE_BLOCK
-        if whole:
-            self._rng.standard_normal(out=rest[:whole])
-        if whole < rest.size:
-            self._noise_buf = self._rng.standard_normal(_NOISE_BLOCK)
-            self._noise_pos = rest.size - whole
-            rest[whole:] = self._noise_buf[: self._noise_pos]
-
-    def value_of_mask(self, mask: int) -> float:
-        v = self._value_cache.get(mask)
-        if v is None:
-            v = self.spec.value_of_mask(mask)
-            self._value_cache[mask] = v
-        return v
-
-    def pull_mask(self, mask: int) -> float:
-        """Fast-path pull on a raw bit mask."""
-        reward = self.value_of_mask(mask) + self.sigma * self._next_noise()
-        self.trajectory.append(mask, reward)
-        return reward
+        as many single pulls would consume."""
+        self._rng.standard_normal(out=out)
 
     def pull(self, items: ItemSet) -> float:
         """Pull a set: observe its value plus Gaussian noise, record the step."""
-        return self.pull_mask(items.mask)
+        mask = items.mask
+        reward = self.spec.value_of_mask(mask) + self.sigma * float(self._rng.standard_normal())
+        self.trajectory.append(mask, reward)
+        return reward
 
     @property
     def pull_counts(self) -> Counter[ItemSet]:

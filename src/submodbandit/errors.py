@@ -18,7 +18,7 @@ class GroundSetTooLarge(SubmodBanditError):
 
 
 class NegativeSigma(SubmodBanditError):
-    """Noise standard deviation must be nonnegative."""
+    """Noise standard deviation must be finite and nonnegative."""
 
 
 class ZeroSigma(SubmodBanditError):
@@ -30,7 +30,7 @@ class InvalidStopLevel(SubmodBanditError):
 
 
 class TooManyArms(SubmodBanditError):
-    """The flat index policy refuses arm sets larger than 10**6."""
+    """The flat index policy refuses arm sets larger than ``policies.MAX_ARMS``."""
 
 
 class CheckpointOutOfRange(SubmodBanditError):

@@ -122,10 +122,6 @@ class Tabular(SetFunction):
         if self.table.get(0, 0.0) != 0.0:
             raise ValueError("the empty set must have value 0")
 
-    @classmethod
-    def from_values(cls, n: int, k_max: int, values: Mapping[ItemSet, float]) -> "Tabular":
-        return cls(n, k_max, {s.mask: float(v) for s, v in values.items()})
-
     @property
     def k_max(self) -> int:
         return self.k_max_
@@ -296,16 +292,6 @@ class HarmonicInstance(SetFunction):
             "_base",
             tuple(harmonic_tail(self.k, s) for s in range(self.k + 1)),
         )
-
-    @classmethod
-    def base(cls, n: int, k: int, delta: float) -> "HarmonicInstance":
-        return cls(n, k, delta)
-
-    @classmethod
-    def elevated(
-        cls, n: int, k: int, delta: float, prefix_len: int, tail: tuple[int, ...]
-    ) -> "HarmonicInstance":
-        return cls(n, k, delta, prefix_len, tail)
 
     @property
     def is_elevated(self) -> bool:

@@ -144,7 +144,7 @@ def pulled_sets_ok(traj, k: int) -> bool:
 
 
 def naive_greedy_then_flat(env, k: int, T: int, l: int, m, uniform: bool) -> list:
-    """The policies' two phases on one env, one ``pull_mask`` at a time: l
+    """The policies' two phases on one env, one ``pull`` at a time: l
     greedy levels (uniform or optimistic), then the index loop over the
     size-k supersets of the base.  Returns the levels."""
     n = env.spec.n
@@ -153,7 +153,7 @@ def naive_greedy_then_flat(env, k: int, T: int, l: int, m, uniform: bool) -> lis
         for j in np.flatnonzero(counts == 0).tolist():
             if env.t >= T:
                 return None
-            sums[j] += env.pull_mask(arms[j])
+            sums[j] += env.pull(ItemSet(arms[j]))
             counts[j] += 1.0
         while True:
             j = int(np.argmax(sums / counts + np.sqrt(8.0 * math.log(env.t) / counts)))
@@ -161,7 +161,7 @@ def naive_greedy_then_flat(env, k: int, T: int, l: int, m, uniform: bool) -> lis
                 return j
             if env.t >= T:
                 return None
-            sums[j] += env.pull_mask(arms[j])
+            sums[j] += env.pull(ItemSet(arms[j]))
             counts[j] += 1.0
 
     levels, base = [], 0
@@ -173,7 +173,7 @@ def naive_greedy_then_flat(env, k: int, T: int, l: int, m, uniform: bool) -> lis
                 for _ in range(m):
                     if env.t >= T:
                         return levels
-                    sums[j] += env.pull_mask(arm)
+                    sums[j] += env.pull(ItemSet(arm))
             counts[:] = m
         j = int(np.argmax(sums / m)) if uniform else index_loop(arms, m, counts, sums)
         if j is None:

@@ -37,6 +37,18 @@ def test_bounds_invalid_inputs(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "n, k, T", [("20", "5", str(10**400)), (str(10**400), "3", "1000")], ids=["huge-T", "huge-n"]
+)
+def test_bounds_overflow_exit_2(capsys, n, k, T):
+    # exit 1 would claim a failed structural check; an unrepresentable input is an input error
+    code, out, err = run_cli(capsys, "bounds", n, k, T)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and f"n={n}" in err and f"T={T}" in err
+    assert "Traceback" not in err
+
+
 def test_bounds_outside_lower_bound_domain(capsys):
     # the lower bound needs k <= n/3; the other evaluators still print
     code, out, _ = run_cli(capsys, "bounds", "4", "2", "10000")

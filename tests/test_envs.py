@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collections import Counter
@@ -14,8 +14,9 @@ def test_constructor():
     env = BanditEnv(HarmonicInstance(6, 2, 1 / 32), 1.0, 7)
     assert env.t == 0
     assert len(env.trajectory) == 0
-    with pytest.raises(NegativeSigma):
-        BanditEnv(HarmonicInstance(6, 2, 1 / 32), -0.1, 7)
+    for sigma in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(NegativeSigma):
+            BanditEnv(HarmonicInstance(6, 2, 1 / 32), sigma, 7)
 
 
 def test_zero_noise_exactness():
@@ -127,7 +128,7 @@ def test_bulk_and_single_pulls_keep_one_record():
     assert len(traj) == env.t == 1503
     by_hand = BanditEnv(spec, 1.0, 31)
     for mask in traj.masks():
-        by_hand.pull_mask(mask)
+        by_hand.pull(ItemSet(mask))
     assert traj == by_hand.trajectory
     assert traj.rewards() == by_hand.trajectory.rewards()
     assert traj.to_csv() == by_hand.trajectory.to_csv()
@@ -139,7 +140,31 @@ def test_bulk_and_single_pulls_keep_one_record():
     sizes = Counter(mask.bit_count() for mask in traj.masks())
     assert env.counts_by_cardinality() == dict(sizes) == by_hand.counts_by_cardinality()
     values = [evaluate(spec, ItemSet(mask)) for mask in traj.masks()]
-    assert traj.values(env.value_of_mask).tolist() == values
+    assert traj.values(spec.value_of_mask).tolist() == values
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(
+        st.tuples(st.booleans(), st.integers(min_value=0, max_value=2500)), max_size=8
+    ),
+)
+def test_noise_stream_does_not_depend_on_chunking(seed, runs):
+    # each run is a fill_noise block recorded as the lockstep engine records
+    # it, or that many single pulls; f(empty) = 0 and sigma = 1, so every
+    # reward is the noise value itself, in stream order
+    env = BanditEnv(HarmonicInstance(6, 2, 1 / 32), 1.0, seed)
+    for block, size in runs:
+        if block:
+            noise = np.empty(size)
+            env.fill_noise(noise)
+            env.trajectory.extend([0], np.zeros(size, np.int32), noise)
+        else:
+            for _ in range(size):
+                env.pull(ItemSet.empty())
+    draws = np.random.default_rng(seed).standard_normal(env.t)
+    assert env.trajectory.rewards() == draws.tolist()
 
 
 def test_trajectory_extend_appends_a_table_of_its_own():

@@ -69,7 +69,7 @@ def _flat_over_supersets(env, T, k, base):
     solo = BanditEnv(contraction, env.sigma, env.seed)
     UcbAllPolicy().run(solo, contraction.k, T)
     for mask in solo.trajectory.masks():
-        env.pull_mask(contraction.expand(mask))
+        env.pull(ItemSet(contraction.expand(mask)))
     assert env.trajectory.rewards() == solo.trajectory.rewards()
     return env.trajectory
 
