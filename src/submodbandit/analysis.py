@@ -166,9 +166,9 @@ def regret_report(
     """Pseudo-regret of ``env``'s trajectory against the optimum, its
     ratio-scaled value and B, all taken from ``summary``.
 
-    Pulled values come from the spec, once per entry of the trajectory's
-    table (a policy run lists each arm once per phase), and the cumulative
-    value is a running sum from 0.0, left to right.
+    Pulled values come from the trajectory, which holds the true value of
+    every set it pulled; the spec is not evaluated.  The cumulative value is
+    a running sum from 0.0, left to right.
     """
     traj = env.trajectory
     cps = sorted(set(int(t) for t in checkpoints))
@@ -176,7 +176,7 @@ def regret_report(
         raise CheckpointOutOfRange(
             f"checkpoints must lie in [1, {len(traj)}]; got {cps[0]}..{cps[-1]}"
         )
-    cums = np.cumsum(np.concatenate(([0.0], traj.values(env.spec.value_of_mask))))
+    cums = np.cumsum(np.concatenate(([0.0], traj.values())))
     rows = []
     for t in cps:
         cum = float(cums[t])

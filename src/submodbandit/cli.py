@@ -53,15 +53,16 @@ def _load_target(target: str) -> tuple[str, SetFunction, int]:
     if target in registry:
         spec, k = registry[target]
         return target, spec, k
-    path = Path(target)
-    if not path.exists():
+    try:
+        doc = json.loads(Path(target).read_text())
+    except FileNotFoundError as exc:
         raise ConfigError(
             f"unknown instance {target!r}; built-ins: {', '.join(sorted(registry))}"
-        )
-    try:
-        doc = json.loads(path.read_text())
+        ) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{target}: line {exc.lineno}: {exc.msg}") from exc
+    except OSError as exc:
+        raise ConfigError(f"{target}: {exc}") from exc
     wrapped = isinstance(doc, dict) and "function" in doc
     try:
         spec = spec_from_json(doc["function"] if wrapped else doc)
@@ -121,7 +122,10 @@ def cmd_plot(args) -> int:
     except OSError as exc:
         raise ConfigError(f"{args.results}: {exc}") from exc
     svg = render_results_svg(text)
-    Path(args.out).write_text(svg)
+    try:
+        Path(args.out).write_text(svg)
+    except OSError as exc:
+        raise ConfigError(f"{args.out}: {exc}") from exc
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -1,13 +1,13 @@
 """Stochastic bandit oracle around a noiseless set function.
 
 A :class:`BanditEnv` owns one seeded Gaussian noise stream and records every
-pull.  Identical (spec, sigma, seed) and identical pull sequences produce
-bit-identical reward sequences.  A single pull (``pull``) and a block of pulls
-recorded by the lockstep policy engine (``fill_noise`` and
-``Trajectory.extend``) read that stream alike, one value per pull in pull
-order: the generator's normal stream does not depend on how the draws are
-chunked.  Rewards are *not* clipped: the mean lies in [0, 1] but observations
-may leave the interval.
+pull with the pulled set's true value.  Identical (spec, sigma, seed) and
+identical pull sequences produce bit-identical reward sequences.  A single
+pull (``pull``) and a block of pulls recorded by the lockstep policy engine
+(``fill_noise`` and ``Trajectory.extend``) read that stream alike, one value
+per pull in pull order: the generator's normal stream does not depend on how
+the draws are chunked.  Rewards are *not* clipped: the mean lies in [0, 1]
+but observations may leave the interval.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from collections import Counter
-from typing import Callable
 
 import numpy as np
 
@@ -26,20 +26,23 @@ from .sets import ItemSet, render_mask
 
 
 class Trajectory:
-    """Time-ordered record of pulled sets and observed rewards.
+    """Time-ordered record of pulled sets, their true values and the rewards.
 
-    The record is compact: ``_table`` lists masks, and the first ``_len``
-    entries of ``_codes`` (integers) and ``_rewards`` (float64) hold each
-    step's position in the table and its reward; the arrays may have spare
-    capacity.
+    The record is compact: ``_table`` lists masks and ``_values`` their true
+    values, one float per table entry, and the first ``_len`` entries of
+    ``_codes`` (integers) and ``_rewards`` (float64) hold each step's position
+    in the table and its reward; the arrays may have spare capacity.
     ``append`` adds one step; ``extend`` adds a block of steps over a table of
     its own, so a policy run is recorded without a Python object per step.
+    ``to_csv`` writes the sets and rewards; the CSV form holds no values, so
+    it is write-only.
     """
 
-    __slots__ = ("_table", "_codes", "_rewards", "_len")
+    __slots__ = ("_table", "_values", "_codes", "_rewards", "_len")
 
     def __init__(self):
         self._table: list[int] = []
+        self._values = array("d")
         self._codes = np.empty(0, np.int32)
         self._rewards = np.empty(0)
         self._len = 0
@@ -53,27 +56,33 @@ class Trajectory:
             rewards[: self._len] = self._rewards[: self._len]
             self._codes, self._rewards = codes, rewards
 
-    def append(self, mask: int, reward: float) -> None:
+    def append(self, mask: int, value: float, reward: float) -> None:
+        """Append one step: the set ``mask``, worth ``value``, observed ``reward``."""
         self._reserve(1)
         self._codes[self._len] = len(self._table)
         self._rewards[self._len] = reward
         self._table.append(mask)
+        self._values.append(value)
         self._len += 1
 
-    def extend(self, table: list[int], codes: np.ndarray, rewards: np.ndarray) -> None:
-        """Append one step per code: step i pulled ``table[codes[i]]`` and
-        observed ``rewards[i]``.  An empty trajectory keeps the given arrays
-        without copying them, so the caller must not write to them after."""
+    def extend(
+        self, table: list[int], values: np.ndarray, codes: np.ndarray, rewards: np.ndarray
+    ) -> None:
+        """Append one step per code: step i pulled ``table[codes[i]]``, worth
+        ``values[codes[i]]``, and observed ``rewards[i]``.  An empty trajectory
+        keeps the given code and reward arrays without copying them, so the
+        caller must not write to them after."""
         codes, rewards = np.asarray(codes), np.asarray(rewards, np.float64)
-        if self._len == 0:
-            self._table, self._codes, self._rewards = list(table), codes, rewards
+        if not self._table:
+            self._codes, self._rewards = codes, rewards
         else:
             self._reserve(codes.size)
             end = self._len + codes.size
             self._codes[self._len : end] = codes
             self._codes[self._len : end] += len(self._table)
             self._rewards[self._len : end] = rewards
-            self._table.extend(table)
+        self._table.extend(table)
+        self._values.frombytes(np.asarray(values, np.float64).tobytes())
         self._len += codes.size
 
     def __len__(self) -> int:
@@ -86,12 +95,9 @@ class Trajectory:
     def rewards(self) -> list[float]:
         return self._rewards[: self._len].tolist()
 
-    def values(self, fn: Callable[[int], float]) -> np.ndarray:
-        """``fn(mask)`` at every step as a float64 array; ``fn`` is called once
-        per table entry, not once per step."""
-        return np.array([fn(mask) for mask in self._table], dtype=np.float64)[
-            self._codes[: self._len]
-        ]
+    def values(self) -> np.ndarray:
+        """The true value of every step's set, as a float64 array."""
+        return np.frombuffer(self._values)[self._codes[: self._len]]
 
     def mask_counts(self) -> Counter[int]:
         """Pulls per mask, keyed in order of first pull."""
@@ -116,22 +122,6 @@ class Trajectory:
         for t, (mask, r) in enumerate(zip(self.masks(), self.rewards()), start=1):
             writer.writerow([t, render_mask(mask), f"{r:.17g}"])
         return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "Trajectory":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if header != ["t", "set", "reward"]:
-            raise ValueError(f"unexpected trajectory header {header}")
-        traj = cls()
-        for row in reader:
-            if not row:
-                continue
-            t, set_text, reward = row
-            if int(t) != len(traj) + 1:
-                raise ValueError(f"non-contiguous step index {t}")
-            traj.append(ItemSet.parse(set_text).mask, float(reward))
-        return traj
 
     def __eq__(self, other) -> bool:
         return (
@@ -165,8 +155,9 @@ class BanditEnv:
     def pull(self, items: ItemSet) -> float:
         """Pull a set: observe its value plus Gaussian noise, record the step."""
         mask = items.mask
-        reward = self.spec.value_of_mask(mask) + self.sigma * float(self._rng.standard_normal())
-        self.trajectory.append(mask, reward)
+        value = self.spec.value_of_mask(mask)
+        reward = value + self.sigma * float(self._rng.standard_normal())
+        self.trajectory.append(mask, value, reward)
         return reward
 
     @property

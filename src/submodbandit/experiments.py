@@ -224,7 +224,8 @@ def run_experiment(
     time each; 1 runs serially.  Returns (results_path, manifest_path).
     Raises ValueError on a ``jobs`` below 1, and GroundSetTooLarge or
     TooManyArms when a resource guard trips, before any cell runs or any
-    file is written.
+    file is written; the output directory is made after the guards and
+    before the first cell, and ConfigError names it if it cannot be made.
     """
     if not is_int(jobs) or jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1; got {jobs!r}")
@@ -258,13 +259,16 @@ def run_experiment(
                 }
             )
 
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir '{out}': {exc}") from exc
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_group, groups, chunksize=1))
     else:
         results = [_run_group(group) for group in groups]
 
-    out.mkdir(parents=True, exist_ok=True)
     results_path = out / "results.csv"
     lines = [",".join(RESULTS_HEADER)]
     for group_lines in results:

@@ -3,28 +3,31 @@
 ``greedy_then_flat(envs, k, T, l, m, uniform)`` runs the phases that
 :mod:`~submodbandit.policies` describes (l greedy levels by the uniform or
 optimistic rule, then the flat phase) on every env of a batch that shares
-one spec, sigma and t.  Every env pulls once per step, so t and ln t are
-shared, and the state is one (envs x arms) array each of values, counts,
-sums and means, padded with -inf means where a phase has fewer arms.  The
-envs differ only in which phase each is in.  A stretch of steps in which
-every env follows a fixed schedule (the uniform samples, the first pull of
-each arm, or the one committed set) is pulled as one block; the other steps
-evaluate the index of every env at once.  Each env's trajectory, levels and
-rewards are those of the same env run alone, one pull at a time: noise comes
-from each env's own stream in the same order, the index uses the same
-elementwise operations, ``argmax`` keeps the first maximum, and sums add in
-pull order.
+one spec, sigma and t.  Arms are ranks of the spec's feasible-set table
+(``structure.value_table``), taken once before any noise is drawn: a
+phase's arms and their true values are gathers over it, and each env's
+trajectory is handed those values, so a run never evaluates the spec.
+Every env pulls once per step, so t and ln t are shared, and the state is
+one (envs x arms) array each of values, counts, sums and means, padded
+with -inf means where a phase has fewer arms.  The envs differ only in
+which phase each is in.  A stretch of steps in which every env follows a
+fixed schedule (the uniform samples, the first pull of each arm, or the
+one committed set) is pulled as one block; the other steps evaluate the
+index of every env at once.  Each env's trajectory, levels and rewards are
+those of the same env run alone, one pull at a time: noise comes from each
+env's own stream in the same order, the index uses the same elementwise
+operations, ``argmax`` keeps the first maximum, and sums add in pull order.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 import numpy as np
 
 from .envs import BanditEnv
 from .sets import ItemSet
+from .structure import FeasibleTable, value_table
 
 # envs times arms of one lockstep batch (8 MB per state array); a group of
 # envs over more cells runs as several batches, one after the other
@@ -33,11 +36,17 @@ MAX_BATCH_CELLS = 2**20
 BLOCK_CELLS = 2**8
 
 
-def superarm_masks(n: int, k: int, base_mask: int) -> list[int]:
-    """All size-k supersets of base, in lexicographic member order."""
-    free = [a for a in range(n) if not (base_mask >> a) & 1]
-    size = k - base_mask.bit_count()
-    return [base_mask | sum(1 << a for a in combo) for combo in combinations(free, size)]
+def phase_arms(table: FeasibleTable, base: int, size: int) -> np.ndarray:
+    """The ranks of the sets of ``size`` items that contain the set of rank
+    ``base``, ascending: ``masks_upto`` order, which for one item more than
+    the base is item order."""
+    arms = np.array([base])
+    for _ in range(size - table.masks[base].bit_count()):
+        grown = table.extend[arms].ravel()
+        reached = np.zeros(len(table.masks), bool)
+        reached[grown[grown >= 0]] = True
+        arms = np.flatnonzero(reached)
+    return arms
 
 
 def greedy_then_flat(
@@ -73,8 +82,10 @@ class Lockstep:
         spec, sigma, t0 = envs[0].spec, envs[0].sigma, envs[0].t
         if any(env.spec is not spec or env.sigma != sigma or env.t != t0 for env in envs):
             raise ValueError("a lockstep batch needs envs with one spec, sigma and t")
+        # every value the run needs, and the resource guard, before any noise is drawn
+        self.table = value_table(spec, k)
         rows = len(envs)
-        self.envs, self.spec, self.sigma = envs, spec, sigma
+        self.envs = envs
         self.k, self.T, self.l, self.m, self.uniform = k, T, l, m, uniform
         self.t0, self.steps = t0, max(T - t0, 0)
         self.vals = np.zeros((rows, width))
@@ -98,37 +109,28 @@ class Lockstep:
         for env, noise in zip(envs, self.rewards):
             env.fill_noise(noise)
         self.rewards *= sigma
-        self.arms: list[list[int]] = [[] for _ in envs]
-        self.bases = [0] * rows
+        self.bases = [0] * rows  # rank 0 is the empty set
         self.levels: list[list[ItemSet]] = [[] for _ in envs]
-        self.segments: list[list[tuple[int, list[int]]]] = [[] for _ in envs]
-        self.tables: dict[int, tuple[list[int], np.ndarray]] = {}
-
-    def _table(self, base: int, greedy: bool) -> tuple[list[int], np.ndarray]:
-        """A phase's arms and their values, shared by every row with this base."""
-        if base not in self.tables:
-            n = self.spec.n
-            if greedy:
-                arms = [base | (1 << a) for a in range(n) if not (base >> a) & 1]
-            else:
-                arms = superarm_masks(n, self.k, base)
-            values = np.fromiter(map(self.spec.value_of_mask, arms), np.float64, len(arms))
-            self.tables[base] = arms, values
-        return self.tables[base]
+        self.segments: list[list[tuple[int, np.ndarray]]] = [[] for _ in envs]
+        # the arms of each base's phase, shared by every row with that base
+        self.phases: dict[int, np.ndarray] = {}
 
     def _start(self, r: int, s: int) -> None:
         """Begin row r's next phase, whose first pull is step s."""
         level = len(self.levels[r])
         greedy = level < self.l
-        arms, values = self._table(self.bases[r], greedy)
-        size = len(arms)
+        base = self.bases[r]
+        if base not in self.phases:
+            self.phases[base] = phase_arms(self.table, base, level + 1 if greedy else self.k)
+        arms = self.phases[base]
+        size = arms.size
         if greedy:
             rep, lim = (self.m if self.uniform or level == 0 else 1), self.m
         elif size == 1:
             rep, lim = self.steps, math.inf
         else:
             rep, lim = 1, math.inf
-        self.vals[r, :size] = values
+        self.vals[r, :size] = self.table.values[arms]
         # cells past the phase's arms keep mean -inf and one pull: their
         # index is -inf (never NaN), which the argmax never picks
         self.counts[r] = 1.0
@@ -138,13 +140,12 @@ class Lockstep:
         self.means[r, :size] = 0.0
         self.pos[r], self.slen[r], self.rep[r] = 0, size * rep, rep
         self.lim[r], self.by_mean[r] = lim, greedy and self.uniform
-        self.arms[r] = arms
         self.segments[r].append((s, arms))
 
     def _close(self, r: int, j: int, s: int) -> None:
         """Fix row r's level at its arm j; its next phase starts at step s."""
-        self.bases[r] = self.arms[r][j]
-        self.levels[r].append(ItemSet(self.bases[r]))
+        self.bases[r] = int(self.phases[self.bases[r]][j])
+        self.levels[r].append(ItemSet(self.table.masks[self.bases[r]]))
         if s < self.steps:
             self._start(r, s)
         else:  # budget spent: the row only waits for the others' last closes
@@ -182,7 +183,7 @@ class Lockstep:
             # the closes due at t: uniform levels whose samples are all in,
             # then optimistic levels whose index argmax has m pulls
             for r in np.flatnonzero(self.by_mean & (self.pos >= self.slen)).tolist():
-                size = len(self.arms[r])
+                size = self.phases[self.bases[r]].size
                 self._close(r, int(np.argmax(self.sums[r, :size] / self.m)), t - self.t0)
             sched = self.pos < self.slen
             j = None
@@ -246,18 +247,20 @@ class Lockstep:
         return self.flat[2][self.row0 + j]
 
     def _finish(self) -> list[list[ItemSet]]:
-        """Hand each env its trajectory: per phase, the arms it pulled."""
+        """Hand each env its trajectory: the arms it pulled, with their true values."""
         for env, codes, rewards, segments in zip(
             self.envs, self.codes, self.rewards, self.segments
         ):
-            table: list[int] = []
+            pulled: list[np.ndarray] = []
             ends = [s for s, _ in segments[1:]] + [self.steps]
             for (start, arms), end in zip(segments, ends):
                 phase = codes[start:end]
-                used = np.flatnonzero(np.bincount(phase, minlength=len(arms)))
-                position = np.zeros(len(arms), codes.dtype)
-                position[used] = np.arange(len(table), len(table) + used.size)
+                used = np.flatnonzero(np.bincount(phase, minlength=arms.size))
+                position = np.zeros(arms.size, codes.dtype)
+                position[used] = np.arange(used.size) + sum(p.size for p in pulled)
                 phase[:] = position[phase]
-                table += [arms[i] for i in used.tolist()]
-            env.trajectory.extend(table, codes, rewards)
+                pulled.append(arms[used])
+            ranks = np.concatenate(pulled)
+            table = [self.table.masks[r] for r in ranks.tolist()]
+            env.trajectory.extend(table, self.table.values[ranks], codes, rewards)
         return self.levels

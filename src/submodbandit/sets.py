@@ -51,11 +51,6 @@ class ItemSet:
     def issubset(self, other: "ItemSet") -> bool:
         return self.mask & ~other.mask == 0
 
-    def max_item(self) -> int:
-        if not self.mask:
-            raise ValueError("empty set has no items")
-        return self.mask.bit_length() - 1
-
     def render(self) -> str:
         """Sorted comma-joined indices; the empty set renders as ''."""
         return ",".join(str(a) for a in self.members())

@@ -52,6 +52,8 @@ def _aggregate(text: str):
             val = float(rgr)
         except ValueError as exc:
             raise ConfigError(f"malformed row: {row}") from exc
+        if key[1] < 1 or not math.isfinite(val):
+            raise ConfigError(f"malformed row: {row}")
         if policy not in policies:
             policies.append(policy)
         prev = final.get(key)

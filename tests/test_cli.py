@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from submodbandit import ItemSet, Tabular
 from submodbandit.catalog import harmonic_base
 from submodbandit.cli import main
+from submodbandit.svgplot import RESULTS_HEADER
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -376,3 +383,72 @@ def test_run_malformed_config_exit_2(tmp_path, capsys, patch, field):
         assert "T_grid" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# imported at interpreter start-up: any cell that runs ends the process
+_NO_CELLS = """\
+from submodbandit import experiments
+
+def _run_group(group):
+    raise SystemExit("a cell ran")
+
+experiments._run_group = _run_group
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["verify", "{d}"], "{d}"),
+        (["instance", "{d}"], "{d}"),
+        (["run", "{d}/config.json", "--out", "{d}/file"], "output_dir"),
+        (["run", "{d}/config.json", "--out", "{d}/file/out"], "output_dir"),
+        (["plot", "{d}/nan.csv", "{d}/x.svg"], "malformed row"),
+        (["plot", "{d}/inf.csv", "{d}/x.svg"], "malformed row"),
+        (["plot", "{d}/zero-T.csv", "{d}/x.svg"], "malformed row"),
+        (["plot", "{d}/negative-T.csv", "{d}/x.svg"], "malformed row"),
+        (["plot", "{d}/good.csv", "{d}/missing/x.svg"], "{d}/missing"),
+    ],
+    ids=[
+        "verify-dir",
+        "instance-dir",
+        "run-out-is-a-file",
+        "run-out-under-a-file",
+        "plot-nan-regret",
+        "plot-inf-regret",
+        "plot-zero-T",
+        "plot-negative-T",
+        "plot-out-in-missing-dir",
+    ],
+)
+def test_malformed_input_exits_2_in_a_fresh_interpreter(tmp_path, argv, fragment):
+    # exit 1 would claim a failed structural check: every malformed input is
+    # an input error, named on an error: line, with no traceback and no cell run
+    (tmp_path / "config.json").write_text(json.dumps(_valid_run_config(tmp_path)))
+    (tmp_path / "file").write_text("")
+    header = ",".join(RESULTS_HEADER)
+    rows = {"good": (16, "1.5"), "nan": (16, "nan"), "inf": (16, "inf")}
+    rows.update({"zero-T": (0, "1.5"), "negative-T": (-3, "1.5")})
+    for name, (T, regret) in rows.items():
+        row = f"etcg,{T},0,1,{T},0.5,1.5,1.5,{regret}"
+        (tmp_path / f"{name}.csv").write_text(f"{header}\n{row}\n")
+    hook = tmp_path / "hook"
+    hook.mkdir()
+    (hook / "sitecustomize.py").write_text(_NO_CELLS)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(hook), str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "submodbandit", *(a.format(d=tmp_path) for a in argv)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and fragment.format(d=tmp_path) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "a cell ran" not in proc.stderr
+    assert proc.stdout == ""

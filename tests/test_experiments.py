@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_monotone_submodular
 from submodbandit import experiments, lockstep
+from submodbandit.analysis import benchmark_summary
 from submodbandit.catalog import experiment_cover, harmonic_base, harmonic_elevated
 from submodbandit.errors import ConfigError, GroundSetTooLarge, TooManyArms
 from submodbandit.experiments import (
@@ -16,7 +17,7 @@ from submodbandit.experiments import (
     load_config,
     run_experiment,
 )
-from submodbandit.functions import UniqueGreedyPath, WeightedCover, tabular_from_spec
+from submodbandit.functions import SetFunction, UniqueGreedyPath, WeightedCover, tabular_from_spec
 from submodbandit.policies import EtcgPolicy, SubUcbPolicy, UcbAllPolicy
 
 
@@ -187,6 +188,28 @@ def test_row_cap_splits_groups_without_changing_results(tmp_path, monkeypatch):
     split = run_experiment(cfg, output_dir=tmp_path / "split")
     assert batches == [2, 2, 1] * 4 + [1] * 10
     for a, b in zip(whole, split):
+        assert a.read_bytes() == b.read_bytes()
+
+
+def test_a_run_never_evaluates_the_spec_after_set_up(tmp_path, monkeypatch):
+    # the exact benchmarks build the feasible table; every cell then takes its
+    # arms' values from it, and its regret from the values its trajectory holds
+    doc = _base_doc(
+        T_grid=[16, 40],
+        trials=3,
+        policies=[{"kind": "sub_ucb", "l": 1, "m": 2}, {"kind": "etcg", "m": 1}, {"kind": "ucb_all"}],
+    )
+    expected = run_experiment(config_from_json(doc), output_dir=tmp_path / "a")
+    cfg = config_from_json(doc)
+    benchmark_summary(cfg.function, cfg.k)
+
+    def evaluated(self, mask):
+        pytest.fail("the spec was evaluated")
+
+    monkeypatch.setattr(SetFunction, "value_of_mask", evaluated)
+    monkeypatch.setattr(type(cfg.function), "_value", evaluated)
+    got = run_experiment(cfg, output_dir=tmp_path / "b")
+    for a, b in zip(expected, got):
         assert a.read_bytes() == b.read_bytes()
 
 

@@ -19,9 +19,11 @@ from submodbandit import (
 )
 from submodbandit.functions import SetFunction
 from submodbandit.catalog import experiment_cover, harmonic_base
-from submodbandit.errors import InvalidStopLevel, TooManyArms
-from submodbandit.lockstep import superarm_masks
+from submodbandit.errors import GroundSetTooLarge, InvalidStopLevel, TooManyArms
+from submodbandit.functions import UniqueGreedyPath
+from submodbandit.lockstep import phase_arms
 from submodbandit.sets import masks_upto
+from submodbandit.structure import value_table
 
 
 def test_default_m_frozen():
@@ -160,14 +162,50 @@ def test_ucb_all_single_arm():
     assert traj.masks() == [base.mask] * 20
 
 
+class _Size(SetFunction):
+    """|S| / n over every subset of n items."""
+
+    def __init__(self, n):
+        self.n = n
+
+    @property
+    def k_max(self):
+        return self.n
+
+    def _value(self, mask):
+        return mask.bit_count() / max(self.n, 1)
+
+
 @given(st.data())
 def test_superarm_masks_are_the_size_k_supersets_in_masks_upto_order(data):
+    # the engine's phase arms are ranks of the feasible table: the flat
+    # phase's read as the size-k supersets of the base in masks_upto order,
+    # a greedy level's as the base plus one item, in item order
     n = data.draw(st.integers(min_value=0, max_value=10))
     k = data.draw(st.integers(min_value=0, max_value=n))
     order = data.draw(st.permutations(range(n)))
     base = sum(1 << a for a in order[: data.draw(st.integers(min_value=0, max_value=k))])
+    table = value_table(_Size(n), k)
+    rank = table.masks.index(base)
+    flat = phase_arms(table, rank, k)
     expected = [m for m in masks_upto(n, k) if m.bit_count() == k and m & base == base]
-    assert superarm_masks(n, k, base) == expected
+    assert [table.masks[r] for r in flat.tolist()] == expected
+    assert table.values[flat].tolist() == [k / max(n, 1)] * len(expected)
+    if base.bit_count() < k:
+        greedy = phase_arms(table, rank, base.bit_count() + 1)
+        grown = [base | (1 << a) for a in range(n) if not (base >> a) & 1]
+        assert [table.masks[r] for r in greedy.tolist()] == grown
+
+
+def test_over_budget_run_stops_before_any_pull():
+    # 10^6 sets of size <= 1 with masks 999,999 bits wide: the feasible table
+    # is over its budget, so a direct run refuses before drawing any noise
+    spec = UniqueGreedyPath(999_999, 1, 0.1)
+    env = BanditEnv(spec, 1.0, 0)
+    with pytest.raises(GroundSetTooLarge):
+        UcbAllPolicy().run(env, 1, 10)
+    assert env.t == 0
+    assert env.pull(ItemSet.of([0])) == BanditEnv(spec, 1.0, 0).pull(ItemSet.of([0]))
 
 
 def test_ucb_all_initialization_round():
