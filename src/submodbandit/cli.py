@@ -4,17 +4,19 @@ Subcommands:
 
 * ``run CONFIG``        -- execute an experiment grid, write results.csv and
                            manifest.json (``--jobs N`` for parallel groups,
-                           ``--out DIR`` to override the output directory).
+                           ``--out DIR`` to override the output directory);
+                           a key outside the config's fields is rejected.
 * ``verify TARGET...``  -- structural check table per instance; TARGET is a
                            built-in name, ``all`` for the whole battery, or a
-                           path to a JSON file with {"function": ..., "k": ...}.
+                           path to a JSON file with {"function": ..., "k": ...}
+                           (no other key) or a bare spec.
 * ``bounds N K T``      -- closed-form evaluators (``--l`` to fix the stop
                            level, ``--json`` for machine-readable output).
 * ``plot RESULTS OUT``  -- static SVG of mean final regret per policy vs T.
 * ``instance TARGET``   -- dump the full value table of a spec as CSV.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource
-guard (feasible sets times n, or arms, over budget).
+guard (the feasible sets times n over the exact table's budget).
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .errors import (
     GroundSetTooLarge,
     OutOfRange,
     PreconditionViolated,
-    TooManyArms,
 )
 from .experiments import load_config, run_experiment
 from .functions import SetFunction, is_int, spec_from_json
@@ -64,6 +65,9 @@ def _load_target(target: str) -> tuple[str, SetFunction, int]:
     except OSError as exc:
         raise ConfigError(f"{target}: {exc}") from exc
     wrapped = isinstance(doc, dict) and "function" in doc
+    unknown = [key for key in doc if key not in ("function", "k")] if wrapped else []
+    if unknown:
+        raise ConfigError(f"{target}: field {unknown[0]!r}: not 'function' or 'k'")
     try:
         spec = spec_from_json(doc["function"] if wrapped else doc)
     except (ValueError, OutOfRange, CardinalityExceeded) as exc:
@@ -185,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OutOfRange, CardinalityExceeded, PreconditionViolated, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (GroundSetTooLarge, TooManyArms) as exc:
+    except GroundSetTooLarge as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

@@ -29,10 +29,6 @@ class InvalidStopLevel(SubmodBanditError):
     """Greedy stop level must lie in [0, k]."""
 
 
-class TooManyArms(SubmodBanditError):
-    """The flat index policy refuses arm sets larger than ``policies.MAX_ARMS``."""
-
-
 class CheckpointOutOfRange(SubmodBanditError):
     """A requested checkpoint exceeds the trajectory length."""
 

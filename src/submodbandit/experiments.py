@@ -18,19 +18,13 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
 from .analysis import benchmark_summary, regret_report
 from .envs import BanditEnv
-from .errors import (
-    CardinalityExceeded,
-    ConfigError,
-    InvalidStopLevel,
-    OutOfRange,
-    TooManyArms,
-)
+from .errors import CardinalityExceeded, ConfigError, InvalidStopLevel, OutOfRange
 from .functions import SetFunction, is_finite_number, is_int, spec_from_json
 from .policies import Policy, policy_from_json
 from .svgplot import RESULTS_HEADER
@@ -69,13 +63,18 @@ class ExperimentConfig:
 def config_from_json(doc: dict) -> ExperimentConfig:
     """Validate and build a config; raises ConfigError naming the bad field.
 
-    Every scalar must have its JSON type (integers are never bools, floats or
-    strings), and every policy is resolved at every horizon, so a config that
-    passes here cannot fail later on its own values.  Only the resource guards
-    (ground set size and arm count) are left to ``run_experiment``.
+    A key that is not one of the config's fields is rejected.  Every scalar
+    must have its JSON type (integers are never bools, floats or strings),
+    and every policy is resolved at every horizon, so a config that passes
+    here cannot fail later on its own values.  Only the resource guard (the
+    feasible-set table's budget) is left to ``run_experiment``.
     """
     if not isinstance(doc, dict):
         raise ConfigError("a config must be a JSON object")
+    allowed = [f.name for f in fields(ExperimentConfig)]
+    unknown = [key for key in doc if key not in allowed]
+    if unknown:
+        raise ConfigError(f"field {unknown[0]!r}: not a config field")
 
     def need(field: str):
         if field not in doc:
@@ -127,8 +126,6 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         for T in T_grid:
             try:
                 policy.resolve(n, k, T)
-            except TooManyArms:
-                pass  # a resource guard, raised by run_experiment (exit 3)
             except (InvalidStopLevel, ValueError, OverflowError) as exc:
                 raise ConfigError(f"field 'policies[{i}]' at T_grid entry {T}: {exc}") from exc
         policies.append(policy)
@@ -222,23 +219,24 @@ def run_experiment(
 
     ``jobs`` is the number of worker processes, one (policy, T) group at a
     time each; 1 runs serially.  Returns (results_path, manifest_path).
-    Raises ValueError on a ``jobs`` below 1, and GroundSetTooLarge or
-    TooManyArms when a resource guard trips, before any cell runs or any
-    file is written; the output directory is made after the guards and
-    before the first cell, and ConfigError names it if it cannot be made.
+    Raises ValueError on a ``jobs`` below 1, and GroundSetTooLarge when the
+    feasible sets times n are over the exact table's budget, before any cell
+    runs or any file is written; the output directory is made after that
+    guard and before the first cell, and ConfigError names it if it cannot
+    be made.
     """
     if not is_int(jobs) or jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1; got {jobs!r}")
     out = Path(output_dir if output_dir is not None else config.output_dir)
 
-    # resource guards fail fast, cheapest first: resolve() (TooManyArms), then
-    # the feasible-set budget of the exact benchmarks every cell reports against
     # rows come out totally ordered by (policy index, T, trial, checkpoint)
     grid = [
         (p_idx, policy, T, *policy.resolve(config.n, config.k, T))
         for p_idx, policy in enumerate(config.policies)
         for T in sorted(config.T_grid)
     ]
+    # the resource guard: the feasible-set budget of the exact benchmarks that
+    # every cell reports against, checked before any value is computed
     summary = benchmark_summary(config.function, config.k)
     groups = []
     manifest_cells = []

@@ -14,7 +14,8 @@ value-plus-slack any chain can achieve,
 computed exactly by dynamic programming over the feasible sets (the chain
 cost decomposes over consecutive levels, so a min over predecessors per set
 is exact).  ``enumerate_benchmark`` recomputes the same minimum by costing
-every ordered chain and exists as an independent cross-check of the DP: one
+every ordered chain, or a seeded sample of orders when there are more than
+FULL_ENUM_CAP, and exists as an independent cross-check of the DP: one
 blocked numpy gather costs a block of orders, one chain level at a time.
 Every routine here walks the rank-indexed table of ``structure.value_table``:
 a chain step S -> S + a is ``extend[rank(S), a]`` and the best marginal of S
@@ -29,16 +30,20 @@ from itertools import islice, permutations
 
 import numpy as np
 
-from .errors import CardinalityExceeded, OutOfRange
+from .errors import OutOfRange
 from .functions import SetFunction
 from .sets import ItemSet
 from .structure import approx_ratio, curvature, value_table
 
 # orders costed per gather: the block bounds the enumeration's memory
 _BLOCK_ROWS = 5_000
-# the sampled cross-check costs these seeded orders, a whole number of blocks
+# the most orders the cross-check costs exhaustively; past it, it costs
+# SAMPLE_SIZE seeded orders, a whole number of blocks
+FULL_ENUM_CAP = 300_000
 SAMPLE_SEED = 0
 SAMPLE_SIZE = 10 * _BLOCK_ROWS
+# slack of the approximation-guarantee comparison
+GUARANTEE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,8 +98,6 @@ def chain_from_order(spec: SetFunction, k: int, order: tuple[int, ...]) -> Greed
 
 def exact_greedy(spec: SetFunction, k: int) -> GreedyChain:
     """Greedy chain under the true function; ties go to the lowest item."""
-    if k > spec.n:
-        raise CardinalityExceeded(f"k={k} exceeds the ground set size n={spec.n}")
     table = value_table(spec, k)
     levels = []
     r = 0
@@ -164,22 +167,20 @@ def greedy_benchmark(spec: SetFunction, k: int) -> BenchmarkResult:
     return BenchmarkResult(float(totals[i]), chain)
 
 
-def enumerate_benchmark(
-    spec: SetFunction, k: int, max_chains: int | None = None
-) -> BenchmarkResult:
+def enumerate_benchmark(spec: SetFunction, k: int) -> BenchmarkResult:
     """Benchmark by explicit enumeration of ordered chains (DP cross-check).
 
     Costs all n*(n-1)*...*(n-k+1) orders in lexicographic blocks, each block
     by one gather per chain level: slack by slack, then f(final).  The first
     cheapest order wins, so ties go to the lexicographically first.  If
-    ``max_chains`` is given and the full count exceeds it, SAMPLE_SIZE
-    seeded random orders are costed instead; the result is then an upper
-    bound on the benchmark rather than the exact minimum.
+    there are more than FULL_ENUM_CAP orders, SAMPLE_SIZE seeded random
+    orders are costed instead; the result is then an upper bound on the
+    benchmark rather than the exact minimum.
     """
     table = value_table(spec, k)
     vals, best = table.values, table.best_extension
     n = spec.n
-    if max_chains is not None and math.perm(n, k) > max_chains:
+    if math.perm(n, k) > FULL_ENUM_CAP:
         rng = np.random.default_rng(SAMPLE_SEED)
         # row by row, the first k items of successive rng.permutation(n) draws
         blocks = (
@@ -218,9 +219,7 @@ class GuaranteeResult:
     rhs: float
 
 
-def check_approx_guarantee(
-    spec: SetFunction, k: int, chain: GreedyChain, tol: float = 1e-9
-) -> GuaranteeResult:
+def check_approx_guarantee(spec: SetFunction, k: int, chain: GreedyChain) -> GuaranteeResult:
     """Check f(final) + total slack >= ratio(curvature) * optimum.
 
     This is the curvature-corrected greedy guarantee; it must hold for every
@@ -231,4 +230,4 @@ def check_approx_guarantee(
     c = curvature(spec, k)
     _, f_star = brute_force_opt(spec, k)
     rhs = approx_ratio(c) * f_star
-    return GuaranteeResult(lhs >= rhs - tol, float(lhs), float(rhs))
+    return GuaranteeResult(lhs >= rhs - GUARANTEE_TOL, float(lhs), float(rhs))

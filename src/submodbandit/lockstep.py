@@ -55,12 +55,15 @@ def greedy_then_flat(
     """Fix l greedy levels by the uniform or optimistic rule, then run the
     flat phase over the size-k supersets of the base, for every env; return
     each env's levels.  The envs run in lockstep batches of bounded size."""
-    n = envs[0].spec.n
+    # every value the run needs, and its resource guard, before any noise is drawn
+    table = value_table(envs[0].spec, k)
+    n = table.n
     width = max(n, math.comb(n - l, k - l))
     rows = max(1, MAX_BATCH_CELLS // width)
     levels = []
     for start in range(0, len(envs), rows):
-        levels += Lockstep(envs[start : start + rows], k, T, l, m, uniform, width).run()
+        batch = envs[start : start + rows]
+        levels += Lockstep(batch, table, k, T, l, m, uniform, width).run()
     return levels
 
 
@@ -78,12 +81,11 @@ class Lockstep:
     ``segments`` records where each phase began, with its arms.
     """
 
-    def __init__(self, envs, k, T, l, m, uniform, width):
+    def __init__(self, envs, table, k, T, l, m, uniform, width):
         spec, sigma, t0 = envs[0].spec, envs[0].sigma, envs[0].t
         if any(env.spec is not spec or env.sigma != sigma or env.t != t0 for env in envs):
             raise ValueError("a lockstep batch needs envs with one spec, sigma and t")
-        # every value the run needs, and the resource guard, before any noise is drawn
-        self.table = value_table(spec, k)
+        self.table = table
         rows = len(envs)
         self.envs = envs
         self.k, self.T, self.l, self.m, self.uniform = k, T, l, m, uniform

@@ -10,8 +10,8 @@ Each policy is one frozen dataclass that owns its whole protocol:
 * ``label`` -- defaults to ``sub_ucb_auto``, ``sub_ucb_l{l}``, ``etcg`` or
   ``ucb_all``.
 * ``resolve(n, k, T) -> (l, m)`` -- the stop level and per-arm budget used at
-  horizon T (None where the policy has none).  It raises InvalidStopLevel
-  and TooManyArms before any pull.
+  horizon T (None where the policy has none).  It raises CardinalityExceeded
+  and InvalidStopLevel before any pull.
 * ``run_batch(envs, k, T)`` -- pull sets of size at most k for exactly T
   steps against every :class:`~submodbandit.envs.BanditEnv` of a batch that
   shares one spec, sigma and t, and return each env's greedy levels; the
@@ -46,7 +46,9 @@ steps; a level whose rule is already met at t = T is still fixed.
 
 The phases run in :mod:`~submodbandit.lockstep`, which steps every env of a
 batch together; each env's trajectory, levels and rewards are those of the
-same env run alone.
+same env run alone.  Its one resource guard is the feasible-set table's
+budget (``structure.value_table``): every flat arm is a row of that table,
+so a run over budget raises GroundSetTooLarge before any pull.
 """
 
 from __future__ import annotations
@@ -56,12 +58,10 @@ from dataclasses import dataclass, fields
 
 from .analysis import auto_stop_level
 from .envs import BanditEnv
-from .errors import CardinalityExceeded, InvalidStopLevel, TooManyArms
+from .errors import CardinalityExceeded, InvalidStopLevel
 from .functions import is_int
 from .lockstep import greedy_then_flat
 from .sets import ItemSet
-
-MAX_ARMS = 10**6
 
 AUTO = "auto"
 
@@ -77,13 +77,6 @@ def default_m(T: int, n: int) -> int:
 def _check_cardinality(n: int, k: int) -> None:
     if k > n:
         raise CardinalityExceeded(f"k={k} exceeds the ground set size n={n}")
-
-
-def _check_arm_count(n: int, k: int, base_size: int) -> None:
-    """Guard on the number of size-k supersets of a base of base_size items."""
-    count = math.comb(n - base_size, k - base_size)
-    if count > MAX_ARMS:
-        raise TooManyArms(f"{count} super-arms exceeds the cap {MAX_ARMS}")
 
 
 class _Policy:
@@ -139,7 +132,6 @@ class UcbAllPolicy(_Policy):
 
     def resolve(self, n: int, k: int, T: int) -> tuple[None, None]:
         _check_cardinality(n, k)
-        _check_arm_count(n, k, 0)
         return None, None
 
     def run_batch(self, envs: list[BanditEnv], k: int, T: int) -> list[list[ItemSet]]:
@@ -198,9 +190,7 @@ class SubUcbPolicy(_Policy):
         l = auto_stop_level(n, k, T) if self.l == AUTO else self.l
         if not 0 <= l <= k:
             raise InvalidStopLevel(f"stop level {l} outside [0, {k}]")
-        m = self.m or default_m(T, n)
-        _check_arm_count(n, k, l)
-        return l, m
+        return l, self.m or default_m(T, n)
 
     def run_batch(self, envs: list[BanditEnv], k: int, T: int) -> list[list[ItemSet]]:
         l, m = self.resolve(envs[0].spec.n, k, T)

@@ -108,23 +108,23 @@ class SubmodularResult:
     witness: tuple[ItemSet, ItemSet, int] | None = None
 
 
-def check_monotone(spec: SetFunction, k: int, tol: float = CHECK_TOL) -> MonotoneResult:
-    """ok iff f(A) <= f(A + a) + tol for all |A| < k, a not in A."""
+def check_monotone(spec: SetFunction, k: int) -> MonotoneResult:
+    """ok iff f(A) <= f(A + a) + CHECK_TOL for all |A| < k, a not in A."""
     table = value_table(spec, k)
     rows = len(table.extend)
     grown = table.values[table.extend]
-    drops = (table.extend >= 0) & (grown < table.values[:rows, None] - tol)
+    drops = (table.extend >= 0) & (grown < table.values[:rows, None] - CHECK_TOL)
     if not drops.any():
         return MonotoneResult(True)
     r, a = np.unravel_index(np.argmax(drops), drops.shape)
     return MonotoneResult(False, (ItemSet(table.masks[r]), int(a)))
 
 
-def check_submodular(spec: SetFunction, k: int, tol: float = CHECK_TOL) -> SubmodularResult:
+def check_submodular(spec: SetFunction, k: int) -> SubmodularResult:
     """ok iff marginal gains never grow with the base set.
 
     The witness, when present, is a triple (A, B, a) with A subset of B,
-    a outside B and f(A + a) - f(A) < f(B + a) - f(B) - tol.
+    a outside B and f(A + a) - f(A) < f(B + a) - f(B) - CHECK_TOL.
     """
     table = value_table(spec, k)
     vals, extend = table.values, table.extend
@@ -137,7 +137,7 @@ def check_submodular(spec: SetFunction, k: int, tol: float = CHECK_TOL) -> Submo
         gain_small = vals[with_a] - vals[base]
         # b ranges over items outside A + a; extend[with_a] is -1 elsewhere
         gain_large = table.grown(with_a) - vals[extend[base]]
-        bad = gain_small[:, None] < gain_large - tol
+        bad = gain_small[:, None] < gain_large - CHECK_TOL
         if bad.any():
             i, b = np.unravel_index(np.argmax(bad), bad.shape)
             if first is None or base[i] < first[0]:

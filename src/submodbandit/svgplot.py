@@ -26,6 +26,8 @@ RESULTS_HEADER = [
     "regret_gr",
 ]
 
+# the chart's size in SVG user units
+WIDTH, HEIGHT = 640, 420
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
@@ -77,12 +79,12 @@ def _aggregate(text: str):
     return policies, series
 
 
-def render_results_svg(results_csv_text: str, width: int = 640, height: int = 420) -> str:
+def render_results_svg(results_csv_text: str) -> str:
     policies, series = _aggregate(results_csv_text)
 
     margin_left, margin_right, margin_top, margin_bottom = 70, 20, 50, 55
-    plot_w = width - margin_left - margin_right
-    plot_h = height - margin_top - margin_bottom
+    plot_w = WIDTH - margin_left - margin_right
+    plot_h = HEIGHT - margin_top - margin_bottom
 
     xs = sorted({T for pts in series.values() for (T, _m, _s) in pts})
     y_hi = max(m + 2 * s for pts in series.values() for (_T, m, s) in pts)
@@ -101,12 +103,12 @@ def render_results_svg(results_csv_text: str, width: int = 640, height: int = 42
 
     svg = []
     svg.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}" '
         'font-family="sans-serif" font-size="12">'
     )
-    svg.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
+    svg.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>')
     svg.append(
-        f'<text x="{width / 2}" y="22" text-anchor="middle" font-size="15">'
+        f'<text x="{WIDTH / 2}" y="22" text-anchor="middle" font-size="15">'
         "Mean final regret vs horizon</text>"
     )
 
@@ -153,7 +155,7 @@ def render_results_svg(results_csv_text: str, width: int = 640, height: int = 42
         svg.append(f'<text x="{lx + 16}" y="{ly + 2}">{policy}</text>')
 
     svg.append(
-        f'<text x="{margin_left + plot_w / 2}" y="{height - 14}" text-anchor="middle">'
+        f'<text x="{margin_left + plot_w / 2}" y="{HEIGHT - 14}" text-anchor="middle">'
         "horizon T (log scale)</text>"
     )
     svg.append(

@@ -9,10 +9,10 @@ For a (spec, k) pair the suite checks:
   guarantee has no ratio),
 * agreement of the benchmark DP with explicit chain enumeration, which
   costs every ordered chain by blocked gathers over the feasible-set table
-  when there are at most FULL_ENUM_CAP of them, and a fixed seeded sample
-  of orders otherwise; the sampled variant checks the DP value is a lower
-  bound and that the DP witness chain is feasible and costs exactly the DP
-  value.
+  when there are at most ``greedy.FULL_ENUM_CAP`` of them, and a fixed
+  seeded sample of orders otherwise; the sampled variant checks the DP
+  value is a lower bound and that the DP witness chain is feasible and
+  costs exactly the DP value.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from dataclasses import dataclass
 
 from .functions import SetFunction
 from .greedy import (
+    FULL_ENUM_CAP,
     check_approx_guarantee,
     enumerate_benchmark,
     exact_greedy,
     greedy_benchmark,
 )
 from .structure import check_monotone, check_submodular, curvature
-
-FULL_ENUM_CAP = 300_000
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,7 @@ def run_checks(spec: SetFunction, k: int) -> list[CheckRow]:
         rows.append(CheckRow("greedy_guarantee", False, detail))
 
     dp = greedy_benchmark(spec, k)
-    enum = enumerate_benchmark(spec, k, max_chains=FULL_ENUM_CAP)
+    enum = enumerate_benchmark(spec, k)
     if math.perm(spec.n, k) <= FULL_ENUM_CAP:
         ok = abs(dp.value - enum.value) <= 1e-12
         rows.append(

@@ -408,6 +408,8 @@ experiments._run_group = _run_group
         (["plot", "{d}/zero-T.csv", "{d}/x.svg"], "malformed row"),
         (["plot", "{d}/negative-T.csv", "{d}/x.svg"], "malformed row"),
         (["plot", "{d}/good.csv", "{d}/missing/x.svg"], "{d}/missing"),
+        (["run", "{d}/typo.json"], "field 'chekpoints'"),
+        (["verify", "{d}/target.json"], "{d}/target.json: field 'kk'"),
     ],
     ids=[
         "verify-dir",
@@ -419,12 +421,18 @@ experiments._run_group = _run_group
         "plot-zero-T",
         "plot-negative-T",
         "plot-out-in-missing-dir",
+        "run-unknown-config-key",
+        "verify-unknown-target-key",
     ],
 )
 def test_malformed_input_exits_2_in_a_fresh_interpreter(tmp_path, argv, fragment):
     # exit 1 would claim a failed structural check: every malformed input is
     # an input error, named on an error: line, with no traceback and no cell run
     (tmp_path / "config.json").write_text(json.dumps(_valid_run_config(tmp_path)))
+    typo = _valid_run_config(tmp_path, chekpoints=[1, 2])
+    (tmp_path / "typo.json").write_text(json.dumps(typo))
+    target = {"function": harmonic_base(6, 2).to_json(), "k": 2, "kk": 1}
+    (tmp_path / "target.json").write_text(json.dumps(target))
     (tmp_path / "file").write_text("")
     header = ",".join(RESULTS_HEADER)
     rows = {"good": (16, "1.5"), "nan": (16, "nan"), "inf": (16, "inf")}

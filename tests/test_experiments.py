@@ -9,7 +9,7 @@ from conftest import random_monotone_submodular
 from submodbandit import experiments, lockstep
 from submodbandit.analysis import benchmark_summary
 from submodbandit.catalog import experiment_cover, harmonic_base, harmonic_elevated
-from submodbandit.errors import ConfigError, GroundSetTooLarge, TooManyArms
+from submodbandit.errors import ConfigError, GroundSetTooLarge
 from submodbandit.experiments import (
     checkpoint_grid,
     config_from_json,
@@ -239,13 +239,20 @@ def test_run_experiment_resource_guards(tmp_path, monkeypatch):
     assert not (tmp_path / "long").exists()
     monkeypatch.undo()
 
-    wide = harmonic_base(24, 12)  # C(24, 12) = 2704156 arms
+    # C(24, 12) = 2,704,156 flat arms: the feasible table over them is over
+    # the budget, which refuses the run before any value is computed
+    wide = harmonic_base(24, 12)
     doc = _base_doc(
         function=wide.to_json(), n=24, k=12, policies=[{"kind": "ucb_all"}]
     )
     cfg = config_from_json(doc)
-    with pytest.raises(TooManyArms):
+    calls = []
+    monkeypatch.setattr(
+        type(cfg.function), "_value", lambda self, mask: calls.append(mask)
+    )
+    with pytest.raises(GroundSetTooLarge):
         run_experiment(cfg, output_dir=tmp_path / "wide")
+    assert calls == []
     assert not (tmp_path / "wide").exists()
 
 

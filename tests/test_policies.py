@@ -19,11 +19,11 @@ from submodbandit import (
 )
 from submodbandit.functions import SetFunction
 from submodbandit.catalog import experiment_cover, harmonic_base
-from submodbandit.errors import GroundSetTooLarge, InvalidStopLevel, TooManyArms
+from submodbandit.errors import GroundSetTooLarge, InvalidStopLevel
 from submodbandit.functions import UniqueGreedyPath
-from submodbandit.lockstep import phase_arms
-from submodbandit.sets import masks_upto
-from submodbandit.structure import value_table
+from submodbandit.lockstep import MAX_BATCH_CELLS, phase_arms
+from submodbandit.sets import feasible_count, masks_upto
+from submodbandit.structure import MAX_TABLE_BITS, value_table
 
 
 def test_default_m_frozen():
@@ -208,6 +208,25 @@ def test_over_budget_run_stops_before_any_pull():
     assert env.pull(ItemSet.of([0])) == BanditEnv(spec, 1.0, 0).pull(ItemSet.of([0]))
 
 
+def test_every_flat_phase_the_table_budget_admits_fits_one_lockstep_row():
+    # the flat phase pulls the C(n - l, k - l) supersets of an l-item base,
+    # all of them rows of the feasible table, so the table's budget alone
+    # bounds the arms: over every (n, k, l) it admits, a flat phase fits one
+    # row of a lockstep batch, far below any separate arm cap.  k starts at 1,
+    # as a config's does (k = 0 has the one empty arm at every n)
+    admitted = []
+    n = 1
+    while feasible_count(n, 1) * n <= MAX_TABLE_BITS:
+        k = 1
+        while k <= n and feasible_count(n, k) * n <= MAX_TABLE_BITS:
+            admitted += [(math.comb(n - l, k - l), n, k, l) for l in range(k + 1)]
+            k += 1
+        n += 1
+    assert (n, len(admitted)) == (3_162, 9_165)
+    assert max(admitted) == (245_157, 23, 7, 0)
+    assert max(max(arms, n) for arms, n, _, _ in admitted) <= MAX_BATCH_CELLS
+
+
 def test_ucb_all_initialization_round():
     spec = HarmonicInstance(4, 2, 1 / 32)
     traj = _trajectory(UcbAllPolicy(), _fresh(spec, 1.0, 8), 2, 6)
@@ -239,9 +258,13 @@ def test_ucb_all_best_arm_dominates_counts():
 
 
 def test_ucb_all_too_many_arms():
+    # C(60, 5) flat arms: the 5,985,198 sets of size <= 5 over 60 items put
+    # the feasible table over its budget, which refuses before any pull
     spec = HarmonicInstance(60, 5, 1 / 200)
-    with pytest.raises(TooManyArms):
-        _trajectory(UcbAllPolicy(), _fresh(spec, 1.0, 0), 5, 10)
+    env = _fresh(spec, 1.0, 0)
+    with pytest.raises(GroundSetTooLarge):
+        _trajectory(UcbAllPolicy(), env, 5, 10)
+    assert env.t == 0
 
 
 def test_policies_deterministic_given_seed():
