@@ -16,7 +16,7 @@ Subcommands:
 * ``instance TARGET``   -- dump the full value table of a spec as CSV.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource
-guard (the feasible sets times n over the exact table's budget).
+guard (the feasible sets times n, or a run's trials times T, over budget).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .errors import (
     GroundSetTooLarge,
     OutOfRange,
     PreconditionViolated,
+    RecordTooLarge,
 )
 from .experiments import load_config, run_experiment
 from .functions import SetFunction, is_int, spec_from_json
@@ -189,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OutOfRange, CardinalityExceeded, PreconditionViolated, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except GroundSetTooLarge as exc:
+    except (GroundSetTooLarge, RecordTooLarge) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

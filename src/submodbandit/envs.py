@@ -3,11 +3,11 @@
 A :class:`BanditEnv` owns one seeded Gaussian noise stream and records every
 pull with the pulled set's true value.  Identical (spec, sigma, seed) and
 identical pull sequences produce bit-identical reward sequences.  A single
-pull (``pull``) and a block of pulls recorded by the lockstep policy engine
-(``fill_noise`` and ``Trajectory.extend``) read that stream alike, one value
-per pull in pull order: the generator's normal stream does not depend on how
-the draws are chunked.  Rewards are *not* clipped: the mean lies in [0, 1]
-but observations may leave the interval.
+pull (``pull``) and a policy run, which the lockstep engine draws in blocks
+(``fill_noise``) and records once on a fresh env (``Trajectory.extend``),
+read that stream alike, one value per pull in pull order: the generator's
+normal stream does not depend on how the draws are chunked.  Rewards are
+*not* clipped: the mean lies in [0, 1] but observations may leave it.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ class Trajectory:
     values, one float per table entry, and the first ``_len`` entries of
     ``_codes`` (integers) and ``_rewards`` (float64) hold each step's position
     in the table and its reward; the arrays may have spare capacity.
-    ``append`` adds one step; ``extend`` adds a block of steps over a table of
-    its own, so a policy run is recorded without a Python object per step.
+    ``append`` adds one step; ``extend`` records a whole policy run on a
+    fresh (empty) trajectory, without a Python object per step.
     ``to_csv`` writes the sets and rewards; the CSV form holds no values, so
     it is write-only.
     """
@@ -68,22 +68,17 @@ class Trajectory:
     def extend(
         self, table: list[int], values: np.ndarray, codes: np.ndarray, rewards: np.ndarray
     ) -> None:
-        """Append one step per code: step i pulled ``table[codes[i]]``, worth
-        ``values[codes[i]]``, and observed ``rewards[i]``.  An empty trajectory
-        keeps the given code and reward arrays without copying them, so the
-        caller must not write to them after."""
-        codes, rewards = np.asarray(codes), np.asarray(rewards, np.float64)
-        if not self._table:
-            self._codes, self._rewards = codes, rewards
-        else:
-            self._reserve(codes.size)
-            end = self._len + codes.size
-            self._codes[self._len : end] = codes
-            self._codes[self._len : end] += len(self._table)
-            self._rewards[self._len : end] = rewards
-        self._table.extend(table)
-        self._values.frombytes(np.asarray(values, np.float64).tobytes())
-        self._len += codes.size
+        """Record a whole run on an empty trajectory, one step per code: step i
+        pulled ``table[codes[i]]``, worth ``values[codes[i]]``, and observed
+        ``rewards[i]``.  The code and reward arrays are kept without copying,
+        so the caller must not write to them after.  ValueError on a
+        trajectory that already has steps."""
+        if self._len:
+            raise ValueError(f"extend needs an empty trajectory; this one has {self._len} steps")
+        self._codes, self._rewards = np.asarray(codes), np.asarray(rewards, np.float64)
+        self._table = list(table)
+        self._values = array("d", np.asarray(values, np.float64).tobytes())
+        self._len = self._codes.size
 
     def __len__(self) -> int:
         return self._len

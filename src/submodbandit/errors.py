@@ -17,6 +17,10 @@ class GroundSetTooLarge(SubmodBanditError):
     """The feasible sets (size <= k) times n exceed the exhaustive table's budget."""
 
 
+class RecordTooLarge(SubmodBanditError):
+    """A group's step record (trials times T) exceeds the run's budget."""
+
+
 class NegativeSigma(SubmodBanditError):
     """Noise standard deviation must be finite and nonnegative."""
 

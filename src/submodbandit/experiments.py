@@ -24,10 +24,14 @@ from pathlib import Path
 from . import __version__
 from .analysis import benchmark_summary, regret_report
 from .envs import BanditEnv
-from .errors import CardinalityExceeded, ConfigError, InvalidStopLevel, OutOfRange
+from .errors import CardinalityExceeded, ConfigError, InvalidStopLevel, OutOfRange, RecordTooLarge
 from .functions import SetFunction, is_finite_number, is_int, spec_from_json
 from .policies import Policy, policy_from_json
 from .svgplot import RESULTS_HEADER
+
+# trials times T of one (policy, T) group: the steps its lockstep record holds
+# at once, about 12 bytes each, so 1.6 GB
+MAX_RECORD_STEPS = 2**27
 
 
 @dataclass(frozen=True)
@@ -66,8 +70,8 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     A key that is not one of the config's fields is rejected.  Every scalar
     must have its JSON type (integers are never bools, floats or strings),
     and every policy is resolved at every horizon, so a config that passes
-    here cannot fail later on its own values.  Only the resource guard (the
-    feasible-set table's budget) is left to ``run_experiment``.
+    here cannot fail later on its own values.  Only the resource guards are
+    left to ``run_experiment``.
     """
     if not isinstance(doc, dict):
         raise ConfigError("a config must be a JSON object")
@@ -219,11 +223,11 @@ def run_experiment(
 
     ``jobs`` is the number of worker processes, one (policy, T) group at a
     time each; 1 runs serially.  Returns (results_path, manifest_path).
-    Raises ValueError on a ``jobs`` below 1, and GroundSetTooLarge when the
-    feasible sets times n are over the exact table's budget, before any cell
-    runs or any file is written; the output directory is made after that
-    guard and before the first cell, and ConfigError names it if it cannot
-    be made.
+    Raises ValueError on a ``jobs`` below 1, and RecordTooLarge (trials times
+    the longest T over MAX_RECORD_STEPS) or GroundSetTooLarge (the feasible
+    sets times n over the exact table's budget) before any cell runs or any
+    file is written; the output directory is made after those guards and
+    before the first cell, and ConfigError names it if it cannot be made.
     """
     if not is_int(jobs) or jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1; got {jobs!r}")
@@ -235,8 +239,11 @@ def run_experiment(
         for p_idx, policy in enumerate(config.policies)
         for T in sorted(config.T_grid)
     ]
-    # the resource guard: the feasible-set budget of the exact benchmarks that
-    # every cell reports against, checked before any value is computed
+    # the resource guards, before any value is computed: the longest group's
+    # step record, and the feasible-set budget of the exact benchmarks
+    steps = config.trials * max(config.T_grid)
+    if steps > MAX_RECORD_STEPS:
+        raise RecordTooLarge(f"trials times T is {steps:,} steps, over {MAX_RECORD_STEPS:,}")
     summary = benchmark_summary(config.function, config.k)
     groups = []
     manifest_cells = []

@@ -161,6 +161,8 @@ class WeightedCover(SetFunction):
                 if not 0 <= a < self.n:
                     raise OutOfRange(f"block item {a} outside [0, {self.n})")
                 bmask |= 1 << a
+            if not block or bmask.bit_count() != len(block):
+                raise ValueError("blocks must be nonempty and hold distinct items")
             if bmask & seen:
                 raise ValueError("blocks must be disjoint")
             seen |= bmask

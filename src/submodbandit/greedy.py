@@ -130,8 +130,6 @@ def greedy_benchmark(spec: SetFunction, k: int) -> BenchmarkResult:
     ties resolve to the predecessor of smallest rank, the canonically first.
     """
     table = value_table(spec, k)
-    if k == 0:
-        return BenchmarkResult(float(table.values[0]), GreedyChain((), ()))
     vals, best = table.values, table.best_extension
     G = np.full(len(vals), np.inf)
     G[0] = 0.0
@@ -152,19 +150,13 @@ def greedy_benchmark(spec: SetFunction, k: int) -> BenchmarkResult:
     top = table.level(k)
     totals = G[top] + vals[top]
     i = int(np.argmin(totals))  # argmin keeps the first minimum
-    path = []
+    order = []
     r = top.start + i
-    while r:
-        path.append(r)
-        r = int(parent[r])
-    path.reverse()
-    eps = []
-    prev = 0
-    for r in path:
-        eps.append(max(0.0, float(best[prev] - vals[r])))
-        prev = r
-    chain = GreedyChain(tuple(ItemSet(table.masks[r]) for r in path), tuple(eps))
-    return BenchmarkResult(float(totals[i]), chain)
+    while r:  # back to the empty set, one added item per step
+        prev = int(parent[r])
+        order.append((table.masks[r] ^ table.masks[prev]).bit_length() - 1)
+        r = prev
+    return BenchmarkResult(float(totals[i]), chain_from_order(spec, k, tuple(reversed(order))))
 
 
 def enumerate_benchmark(spec: SetFunction, k: int) -> BenchmarkResult:

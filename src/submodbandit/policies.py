@@ -13,10 +13,10 @@ Each policy is one frozen dataclass that owns its whole protocol:
   horizon T (None where the policy has none).  It raises CardinalityExceeded
   and InvalidStopLevel before any pull.
 * ``run_batch(envs, k, T)`` -- pull sets of size at most k for exactly T
-  steps against every :class:`~submodbandit.envs.BanditEnv` of a batch that
-  shares one spec, sigma and t, and return each env's greedy levels; the
-  trajectories stay on ``env.trajectory``.  ``run(env, k, T)`` is a batch of
-  one.
+  steps against every fresh :class:`~submodbandit.envs.BanditEnv` (a used one
+  raises ValueError before any noise is drawn) of a batch that shares one
+  spec and sigma, and return each env's greedy levels; the trajectories stay
+  on ``env.trajectory``.  ``run(env, k, T)`` is a batch of one.
 
 Every run is the same two phases.  The greedy phase fixes ``l`` levels,
 adding one item to the base set per level; the flat phase then runs the

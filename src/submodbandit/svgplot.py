@@ -140,11 +140,10 @@ def render_results_svg(results_csv_text: str) -> str:
     for idx, policy in enumerate(policies):
         pts = series[policy]
         color = _COLORS[idx % len(_COLORS)]
-        if len(pts) >= 1:
-            upper = [(px(T), py(m + 2 * s)) for (T, m, s) in pts]
-            lower = [(px(T), py(m - 2 * s)) for (T, m, s) in reversed(pts)]
-            path = "M " + " L ".join(f"{x:.2f} {y:.2f}" for x, y in upper + lower) + " Z"
-            svg.append(f'<path d="{path}" fill="{color}" fill-opacity="0.15" stroke="none"/>')
+        upper = [(px(T), py(m + 2 * s)) for (T, m, s) in pts]
+        lower = [(px(T), py(m - 2 * s)) for (T, m, s) in reversed(pts)]
+        path = "M " + " L ".join(f"{x:.2f} {y:.2f}" for x, y in upper + lower) + " Z"
+        svg.append(f'<path d="{path}" fill="{color}" fill-opacity="0.15" stroke="none"/>')
         line = " ".join(f"{px(T):.2f},{py(m):.2f}" for (T, m, _s) in pts)
         svg.append(
             f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="2"/>'

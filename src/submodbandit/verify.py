@@ -28,7 +28,7 @@ from .greedy import (
     exact_greedy,
     greedy_benchmark,
 )
-from .structure import check_monotone, check_submodular, curvature
+from .structure import CHECK_TOL, check_monotone, check_submodular, curvature
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def run_checks(spec: SetFunction, k: int) -> list[CheckRow]:
     dp = greedy_benchmark(spec, k)
     enum = enumerate_benchmark(spec, k)
     if math.perm(spec.n, k) <= FULL_ENUM_CAP:
-        ok = abs(dp.value - enum.value) <= 1e-12
+        ok = abs(dp.value - enum.value) <= CHECK_TOL
         rows.append(
             CheckRow(
                 "benchmark_dp_vs_enum",
@@ -84,7 +84,7 @@ def run_checks(spec: SetFunction, k: int) -> list[CheckRow]:
         witness_cost = dp.chain.total_slack() + spec.value_of_mask(
             dp.chain.final_set().mask
         )
-        ok = dp.value <= enum.value + 1e-12 and abs(witness_cost - dp.value) <= 1e-12
+        ok = dp.value <= enum.value + CHECK_TOL and abs(witness_cost - dp.value) <= CHECK_TOL
         rows.append(
             CheckRow(
                 "benchmark_dp_vs_enum_sampled",

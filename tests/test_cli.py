@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,8 @@ import pytest
 
 from submodbandit import ItemSet, Tabular
 from submodbandit.catalog import harmonic_base
-from submodbandit.cli import main
+from submodbandit.cli import build_parser, main
+from submodbandit.experiments import config_from_json
 from submodbandit.svgplot import RESULTS_HEADER
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -396,6 +399,25 @@ experiments._run_group = _run_group
 """
 
 
+def _run_without_cells(tmp_path, argv):
+    """Run the CLI in a fresh interpreter in which any cell that runs ends it."""
+    hook = tmp_path / "hook"
+    hook.mkdir()
+    (hook / "sitecustomize.py").write_text(_NO_CELLS)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(hook), str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "submodbandit", *argv],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "argv, fragment",
     [
@@ -440,23 +462,34 @@ def test_malformed_input_exits_2_in_a_fresh_interpreter(tmp_path, argv, fragment
     for name, (T, regret) in rows.items():
         row = f"etcg,{T},0,1,{T},0.5,1.5,1.5,{regret}"
         (tmp_path / f"{name}.csv").write_text(f"{header}\n{row}\n")
-    hook = tmp_path / "hook"
-    hook.mkdir()
-    (hook / "sitecustomize.py").write_text(_NO_CELLS)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(hook), str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "submodbandit", *(a.format(d=tmp_path) for a in argv)],
-        cwd=tmp_path,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = _run_without_cells(tmp_path, [a.format(d=tmp_path) for a in argv])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and fragment.format(d=tmp_path) in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "a cell ran" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_horizon_over_the_record_budget_exits_3_in_a_fresh_interpreter(tmp_path):
+    # 10^14 steps to record: refused by the resource guard before any cell
+    # runs or the output directory is made, with no traceback
+    config = _valid_run_config(tmp_path, T_grid=[10**14])
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    proc = _run_without_cells(tmp_path, ["run", str(tmp_path / "config.json")])
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("resource guard:") and "trials times T" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "a cell ran" not in proc.stderr
+    assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_config_and_cli_block_match_the_code():
+    readme = (ROOT / "README.md").read_text()
+    (config,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    config_from_json(json.loads(config))  # ConfigError if the example drifts from the code
+    cli_block = readme.split("## CLI", 1)[1].split("```")[1]
+    listed = [line.split()[1] for line in cli_block.splitlines() if line.startswith("submodbandit ")]
+    actions = build_parser()._actions
+    (commands,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    assert listed == list(commands.choices)

@@ -83,17 +83,15 @@ def test_steps_are_one_based():
 
 
 def test_bulk_and_single_pulls_keep_one_record():
-    # hand pulls, a policy run recorded in bulk across two noise blocks, hand
-    # pulls again: the record reads as if every step had been pulled by hand
+    # a policy run recorded in bulk, then hand pulls: the record reads as if
+    # every step had been pulled by hand
     spec = HarmonicInstance(6, 2, 1 / 32)
     env = BanditEnv(spec, 1.0, 31)
-    for S in [ItemSet.of([0]), ItemSet.of([1, 2]), ItemSet.of([0])]:
-        env.pull(S)
     UcbAllPolicy().run(env, 2, 1500)
-    for S in [ItemSet.of([3]), ItemSet.of([0, 1]), ItemSet.empty()]:
+    for S in [ItemSet.of([3]), ItemSet.of([0, 1]), ItemSet.empty(), ItemSet.of([3])]:
         env.pull(S)
     traj = env.trajectory
-    assert len(traj) == env.t == 1503
+    assert len(traj) == env.t == 1504
     by_hand = BanditEnv(spec, 1.0, 31)
     for mask in traj.masks():
         by_hand.pull(ItemSet(mask))
@@ -118,37 +116,37 @@ def test_bulk_and_single_pulls_keep_one_record():
     ),
 )
 def test_noise_stream_does_not_depend_on_chunking(seed, runs):
-    # each run is a fill_noise block recorded as the lockstep engine records
-    # it, or that many single pulls; f(empty) = 0 and sigma = 1, so every
-    # reward is the noise value itself, in stream order
+    # each run is a fill_noise block, as the lockstep engine draws a run, or
+    # that many single pulls; f(empty) = 0 and sigma = 1, so every reward is
+    # the noise value itself, in stream order
     env = BanditEnv(HarmonicInstance(6, 2, 1 / 32), 1.0, seed)
+    drawn = []
     for block, size in runs:
         if block:
             noise = np.empty(size)
             env.fill_noise(noise)
-            env.trajectory.extend([0], [0.0], np.zeros(size, np.int32), noise)
+            drawn += noise.tolist()
         else:
-            for _ in range(size):
-                env.pull(ItemSet.empty())
-    draws = np.random.default_rng(seed).standard_normal(env.t)
-    assert env.trajectory.rewards() == draws.tolist()
+            drawn += [env.pull(ItemSet.empty()) for _ in range(size)]
+    assert drawn == np.random.default_rng(seed).standard_normal(len(drawn)).tolist()
 
 
 def test_trajectory_extend_appends_a_table_of_its_own():
+    # extend records a whole run on an empty trajectory over a table of its
+    # own; hand pulls append after it, and a second extend is refused
     traj = Trajectory()
-    traj.append(0b11, 0.75, 0.5)
     traj.extend([0b01, 0b10], [0.5, 0.25], np.array([1, 1, 0]), np.array([0.25, -1.0, 2.0]))
     traj.append(0b10, 0.25, 3.0)
-    assert traj.masks() == [0b11, 0b10, 0b10, 0b01, 0b10]
-    assert traj.values().tolist() == [0.75, 0.25, 0.25, 0.5, 0.25]
-    assert traj.rewards() == [0.5, 0.25, -1.0, 2.0, 3.0]
-    fresh = Trajectory()
-    fresh.extend([0b100], [0.125], np.zeros(2, np.int32), np.array([1.0, 2.0]))
-    fresh.append(0b1, 0.5, 0.0)
-    assert fresh.masks() == [0b100, 0b100, 0b1] and len(fresh) == 3
-    assert fresh.values().tolist() == [0.125, 0.125, 0.5]
-    # a block of no steps still lists its table: later codes index past it
+    traj.append(0b11, 0.75, 0.5)
+    assert traj.masks() == [0b10, 0b10, 0b01, 0b10, 0b11] and len(traj) == 5
+    assert traj.values().tolist() == [0.25, 0.25, 0.5, 0.25, 0.75]
+    assert traj.rewards() == [0.25, -1.0, 2.0, 3.0, 0.5]
+    with pytest.raises(ValueError, match="empty trajectory"):
+        traj.extend([0b100], [0.125], np.zeros(2, np.int32), np.array([1.0, 2.0]))
+    assert len(traj) == 5 and traj.masks()[-1] == 0b11
+    # a run of no steps leaves the trajectory empty, so a run may still follow
     gap = Trajectory()
     gap.extend([0b1], [0.5], np.zeros(0, np.int32), np.zeros(0))
+    assert len(gap) == 0
     gap.extend([0b10], [0.25], np.zeros(2, np.int32), np.array([1.0, 2.0]))
     assert gap.masks() == [0b10, 0b10] and gap.values().tolist() == [0.25, 0.25]

@@ -9,7 +9,7 @@ from conftest import random_monotone_submodular
 from submodbandit import experiments, lockstep
 from submodbandit.analysis import benchmark_summary
 from submodbandit.catalog import experiment_cover, harmonic_base, harmonic_elevated
-from submodbandit.errors import ConfigError, GroundSetTooLarge
+from submodbandit.errors import ConfigError, GroundSetTooLarge, RecordTooLarge
 from submodbandit.experiments import (
     checkpoint_grid,
     config_from_json,
@@ -254,6 +254,24 @@ def test_run_experiment_resource_guards(tmp_path, monkeypatch):
         run_experiment(cfg, output_dir=tmp_path / "wide")
     assert calls == []
     assert not (tmp_path / "wide").exists()
+
+
+
+def test_run_experiment_record_budget_is_trials_times_the_longest_horizon(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(experiments, "MAX_RECORD_STEPS", 32)
+    cfg = config_from_json(_base_doc(trials=2, T_grid=[8, 16]))
+    at = run_experiment(cfg, output_dir=tmp_path / "at")
+    assert all(path.exists() for path in at)  # 2 x 16 steps: at the budget
+    for trials, T_grid in [(1, [8, 33]), (3, [11])]:  # 33 steps: one over
+        cfg = config_from_json(_base_doc(trials=trials, T_grid=T_grid))
+        calls = []
+        monkeypatch.setattr(type(cfg.function), "_value", lambda self, mask: calls.append(mask))
+        with pytest.raises(RecordTooLarge, match="33 steps"):
+            run_experiment(cfg, output_dir=tmp_path / "over")
+        assert calls == []  # refused before any value is computed
+        assert not (tmp_path / "over").exists()
 
 
 _json_values = st.recursive(

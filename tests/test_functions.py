@@ -79,6 +79,10 @@ def test_weighted_cover_validation():
         WeightedCover(4, ((0, 1),), (1.0,))  # does not cover
     with pytest.raises(ValueError):
         WeightedCover(2, ((0,), (1,)), (0.9, 0.9))  # weights exceed 1
+    with pytest.raises(ValueError, match="blocks"):
+        WeightedCover(3, ((0, 0, 1), (2,)), (0.5, 0.5))  # repeated item
+    with pytest.raises(ValueError, match="blocks"):
+        WeightedCover(3, ((0, 1), (), (2,)), (0.5, 0.0, 0.5))  # empty block
 
 
 def test_unique_greedy_path_values():

@@ -395,9 +395,24 @@ def test_batch_rows_out_of_step_match_the_reference():
 
 def test_batch_needs_one_spec_sigma_and_t():
     spec = harmonic_base(6, 2)
-    with pytest.raises(ValueError, match="one spec, sigma and t"):
+    with pytest.raises(ValueError, match="fresh envs with one spec and sigma"):
         UcbAllPolicy().run_batch([BanditEnv(spec, 1.0, 0), BanditEnv(spec, 0.5, 1)], 2, 10)
-    moved = BanditEnv(spec, 1.0, 1)
+    moved = BanditEnv(spec, 1.0, 1)  # not fresh: it has pulled
     moved.pull(ItemSet.of([0]))
-    with pytest.raises(ValueError, match="one spec, sigma and t"):
+    with pytest.raises(ValueError, match="fresh envs with one spec and sigma"):
         UcbAllPolicy().run_batch([BanditEnv(spec, 1.0, 0), moved], 2, 10)
+
+
+def test_run_on_a_used_env_raises_before_any_noise():
+    # a run starts at t = 0: on a used env it raises, and the env's record and
+    # noise stream are those of a twin that never tried the run
+    spec = harmonic_base(6, 2)
+    used, twin = BanditEnv(spec, 1.0, 3), BanditEnv(spec, 1.0, 3)
+    for env in (used, twin):
+        env.pull(ItemSet.of([0]))
+    for policy in (UcbAllPolicy(), EtcgPolicy(m=2), SubUcbPolicy(l=1, m=2)):
+        with pytest.raises(ValueError, match="fresh envs"):
+            policy.run(used, 2, 50)
+    assert used.t == 1
+    assert used.pull(ItemSet.of([1, 2])) == twin.pull(ItemSet.of([1, 2]))
+    assert used.trajectory == twin.trajectory
