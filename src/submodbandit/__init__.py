@@ -15,6 +15,7 @@ from .analysis import (
     auto_stop_level,
     benchmark_summary,
     compute_bounds,
+    default_m,
     i_star,
     kl_between,
     minimax_lower_bound,
@@ -31,7 +32,6 @@ from .functions import (
     evaluate,
     harmonic_tail,
     spec_from_json,
-    tabular_from_spec,
 )
 from .greedy import (
     BenchmarkResult,
@@ -48,7 +48,6 @@ from .policies import (
     EtcgPolicy,
     SubUcbPolicy,
     UcbAllPolicy,
-    default_m,
     policy_from_json,
 )
 from .sets import ItemSet
@@ -59,6 +58,7 @@ from .structure import (
     check_monotone,
     check_submodular,
     curvature,
+    tabular_from_spec,
     value_table,
 )
 

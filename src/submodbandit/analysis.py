@@ -22,7 +22,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .envs import BanditEnv
-from .errors import CheckpointOutOfRange, PreconditionViolated, ZeroSigma
 from .functions import SetFunction
 from .greedy import GreedyChain, brute_force_opt, greedy_benchmark
 from .sets import ItemSet
@@ -49,10 +48,18 @@ def auto_stop_level(n: int, k: int, T: int) -> int:
     return min(k, max(0, k - i_star(n, k, T)))
 
 
+def default_m(T: int, n: int) -> int:
+    """Per-arm sample budget ceil(T^{2/3} n^{-2/3} (ln T)^{1/3}), at least 1."""
+    if T < 2 or n < 1:
+        raise ValueError(f"need T >= 2 and n >= 1; got T={T}, n={n}")
+    m = math.ceil(T ** (2.0 / 3.0) * n ** (-2.0 / 3.0) * math.log(T) ** (1.0 / 3.0))
+    return max(1, m)
+
+
 def minimax_lower_bound(n: int, k: int, T: int) -> float:
     """Worst-case robust-greedy regret floor for the hard instance family."""
     if n < 4 or not 1 <= k <= n // 3:
-        raise PreconditionViolated(f"need n >= 4 and 1 <= k <= n/3; got n={n}, k={k}")
+        raise ValueError(f"need n >= 4 and 1 <= k <= n/3; got n={n}, k={k}")
     istar = i_star(n, k, T)
     first = (
         (k - istar)
@@ -93,8 +100,6 @@ class BoundsSheet:
 
 
 def compute_bounds(n: int, k: int, T: int, l: int | None = None) -> BoundsSheet:
-    from .policies import default_m
-
     istar = i_star(n, k, T)
     if l is None:
         l = auto_stop_level(n, k, T)
@@ -173,7 +178,7 @@ def regret_report(
     traj = env.trajectory
     cps = sorted(set(int(t) for t in checkpoints))
     if cps and (cps[0] < 1 or cps[-1] > len(traj)):
-        raise CheckpointOutOfRange(
+        raise ValueError(
             f"checkpoints must lie in [1, {len(traj)}]; got {cps[0]}..{cps[-1]}"
         )
     cums = np.cumsum(np.concatenate(([0.0], traj.values())))
@@ -210,7 +215,7 @@ def kl_between(
     disjoint count maps.
     """
     if sigma <= 0:
-        raise ZeroSigma(f"sigma must be positive; got {sigma}")
+        raise ValueError(f"sigma must be positive; got {sigma}")
     total = 0.0
     for items, count in counts.items():
         if count < 0:

@@ -15,8 +15,10 @@ Subcommands:
 * ``plot RESULTS OUT``  -- static SVG of mean final regret per policy vs T.
 * ``instance TARGET``   -- dump the full value table of a spec as CSV.
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource
-guard (the feasible sets times n, or a run's trials times T, over budget).
+Exit codes: 0 success, 1 verification failure, 2 input error (any
+ValueError, of which ConfigError is one), 3 resource guard (GroundSetTooLarge
+or RecordTooLarge: the feasible sets times n, or a run's trials times T,
+over budget).
 """
 
 from __future__ import annotations
@@ -28,15 +30,8 @@ from pathlib import Path
 
 from .analysis import compute_bounds
 from .catalog import builtin_instances
-from .errors import (
-    CardinalityExceeded,
-    ConfigError,
-    GroundSetTooLarge,
-    OutOfRange,
-    PreconditionViolated,
-    RecordTooLarge,
-)
-from .experiments import load_config, run_experiment
+from .errors import ConfigError, GroundSetTooLarge, RecordTooLarge
+from .experiments import load_config, read_json, run_experiment
 from .functions import SetFunction, is_int, spec_from_json
 from .sets import render_mask
 from .structure import value_table
@@ -55,23 +50,17 @@ def _load_target(target: str) -> tuple[str, SetFunction, int]:
     if target in registry:
         spec, k = registry[target]
         return target, spec, k
-    try:
-        doc = json.loads(Path(target).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(
-            f"unknown instance {target!r}; built-ins: {', '.join(sorted(registry))}"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{target}: line {exc.lineno}: {exc.msg}") from exc
-    except OSError as exc:
-        raise ConfigError(f"{target}: {exc}") from exc
+    if not Path(target).exists():
+        names = ", ".join(sorted(registry))
+        raise ConfigError(f"unknown instance {target!r}; built-ins: {names}")
+    doc = read_json(target)
     wrapped = isinstance(doc, dict) and "function" in doc
     unknown = [key for key in doc if key not in ("function", "k")] if wrapped else []
     if unknown:
         raise ConfigError(f"{target}: field {unknown[0]!r}: not 'function' or 'k'")
     try:
         spec = spec_from_json(doc["function"] if wrapped else doc)
-    except (ValueError, OutOfRange, CardinalityExceeded) as exc:
+    except ValueError as exc:
         where = "field 'function': " if wrapped else ""
         raise ConfigError(f"{target}: {where}{exc}") from exc
     k = doc.get("k", spec.k_max) if wrapped else spec.k_max
@@ -187,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OutOfRange, CardinalityExceeded, PreconditionViolated, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (GroundSetTooLarge, RecordTooLarge) as exc:

@@ -20,7 +20,6 @@ from collections import Counter
 
 import numpy as np
 
-from .errors import NegativeSigma
 from .functions import SetFunction
 from .sets import ItemSet, render_mask
 
@@ -131,7 +130,7 @@ class BanditEnv:
 
     def __init__(self, spec: SetFunction, sigma: float = 1.0, seed: int = 0):
         if not (math.isfinite(sigma) and sigma >= 0):
-            raise NegativeSigma(f"sigma must be finite and nonnegative; got {sigma}")
+            raise ValueError(f"sigma must be finite and nonnegative; got {sigma}")
         self.spec = spec
         self.sigma = float(sigma)
         self.seed = int(seed)

@@ -1,16 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A refused input raises ``ValueError``: an item outside the ground set, a
+set or k above a spec's ``k_max``, a bad sigma, stop level or checkpoint,
+a closed form outside its domain.  ``ConfigError`` is the ``ValueError``
+that names a config or file field.  The CLI maps every ``ValueError`` to
+exit code 2, and the two resource guards, ``GroundSetTooLarge`` and
+``RecordTooLarge``, to exit code 3.
+"""
 
 
 class SubmodBanditError(Exception):
     """Base class for all package-specific errors."""
 
 
-class OutOfRange(SubmodBanditError):
-    """An item index lies outside the ground set [0, n)."""
-
-
-class CardinalityExceeded(SubmodBanditError):
-    """A set is larger than the cardinality the function is defined for."""
+class ConfigError(SubmodBanditError, ValueError):
+    """An experiment configuration or input file failed validation."""
 
 
 class GroundSetTooLarge(SubmodBanditError):
@@ -19,27 +23,3 @@ class GroundSetTooLarge(SubmodBanditError):
 
 class RecordTooLarge(SubmodBanditError):
     """A group's step record (trials times T) exceeds the run's budget."""
-
-
-class NegativeSigma(SubmodBanditError):
-    """Noise standard deviation must be finite and nonnegative."""
-
-
-class ZeroSigma(SubmodBanditError):
-    """Divergence computations require strictly positive sigma."""
-
-
-class InvalidStopLevel(SubmodBanditError):
-    """Greedy stop level must lie in [0, k]."""
-
-
-class CheckpointOutOfRange(SubmodBanditError):
-    """A requested checkpoint exceeds the trajectory length."""
-
-
-class PreconditionViolated(SubmodBanditError):
-    """Inputs violate the stated domain of a closed-form evaluator."""
-
-
-class ConfigError(SubmodBanditError):
-    """An experiment configuration failed validation."""

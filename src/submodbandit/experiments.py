@@ -24,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import benchmark_summary, regret_report
 from .envs import BanditEnv
-from .errors import CardinalityExceeded, ConfigError, InvalidStopLevel, OutOfRange, RecordTooLarge
+from .errors import ConfigError, RecordTooLarge
 from .functions import SetFunction, is_finite_number, is_int, spec_from_json
 from .policies import Policy, policy_from_json
 from .svgplot import RESULTS_HEADER
@@ -102,7 +102,7 @@ def config_from_json(doc: dict) -> ExperimentConfig:
 
     try:
         function = spec_from_json(need("function"))
-    except (ValueError, OutOfRange, CardinalityExceeded) as exc:
+    except ValueError as exc:
         raise ConfigError(f"field 'function': {exc}") from exc
 
     n = integer("n", need("n"))
@@ -130,7 +130,7 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         for T in T_grid:
             try:
                 policy.resolve(n, k, T)
-            except (InvalidStopLevel, ValueError, OverflowError) as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"field 'policies[{i}]' at T_grid entry {T}: {exc}") from exc
         policies.append(policy)
     labels = [p.label for p in policies]
@@ -168,14 +168,19 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def read_json(path: str | Path):
+    """The JSON document in a file; ConfigError naming the file if it cannot
+    be read or parsed."""
     try:
-        doc = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return config_from_json(doc)
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return config_from_json(read_json(path))
 
 
 def derive_seed(base_seed: int, policy_index: int, T: int, trial: int) -> int:

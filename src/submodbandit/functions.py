@@ -24,10 +24,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import Mapping
 
-from .errors import CardinalityExceeded, OutOfRange
-from .sets import ItemSet, feasible_count, render_mask
+from .sets import ItemSet, render_mask
 
 
 def is_int(value) -> bool:
@@ -72,11 +73,9 @@ class SetFunction:
     def value_of_mask(self, mask: int) -> float:
         """Validated evaluation on a raw bit mask."""
         if mask >> self.n:
-            raise OutOfRange(f"set {render_mask(mask)} has items >= n={self.n}")
+            raise ValueError(f"set {render_mask(mask)} has items >= n={self.n}")
         if mask.bit_count() > self.k_max:
-            raise CardinalityExceeded(
-                f"|S|={mask.bit_count()} exceeds k_max={self.k_max}"
-            )
+            raise ValueError(f"|S|={mask.bit_count()} exceeds k_max={self.k_max}")
         return self._value(mask)
 
     def to_json(self) -> dict:
@@ -104,17 +103,24 @@ class Tabular(SetFunction):
     def __post_init__(self):
         if not 0 <= self.k_max_ <= self.n:
             raise ValueError(f"k_max must lie in [0, n]; got {self.k_max_}")
-        expected = feasible_count(self.n, self.k_max_)
-        if len(self.table) != expected:
+        entries = len(self.table)
+        needed = 0
+        for size in range(self.k_max_ + 1):  # stops once past the table's entries
+            needed += math.comb(self.n, size)
+            if needed > entries:
+                break
+        if needed != entries:
+            # the count is exact once every size is in it
+            need = needed if size == self.k_max_ else f"more than {entries}"
             raise ValueError(
-                f"table has {len(self.table)} entries; a complete table up to "
-                f"cardinality {self.k_max_} over n={self.n} needs {expected}"
+                f"table has {entries} entries; a complete table up to "
+                f"cardinality {self.k_max_} over n={self.n} needs {need}"
             )
         for mask, v in self.table.items():
             if mask >> self.n:
-                raise OutOfRange(f"table key {render_mask(mask)} exceeds n={self.n}")
+                raise ValueError(f"table key {render_mask(mask)} exceeds n={self.n}")
             if mask.bit_count() > self.k_max_:
-                raise CardinalityExceeded(
+                raise ValueError(
                     f"table key {render_mask(mask)} larger than k_max={self.k_max_}"
                 )
             if not 0.0 <= v <= 1.0:
@@ -159,7 +165,7 @@ class WeightedCover(SetFunction):
             bmask = 0
             for a in block:
                 if not 0 <= a < self.n:
-                    raise OutOfRange(f"block item {a} outside [0, {self.n})")
+                    raise ValueError(f"block item {a} outside [0, {self.n})")
                 bmask |= 1 << a
             if not block or bmask.bit_count() != len(block):
                 raise ValueError("blocks must be nonempty and hold distinct items")
@@ -198,8 +204,34 @@ class WeightedCover(SetFunction):
         }
 
 
+class _Harmonic(SetFunction):
+    """What the two harmonic families share: the checks 1 <= k <= n and
+    0 < delta < inf, k_max = k, and the level table ``_base[s]`` =
+    H_{s+k} - H_k for s = 0..k.  Each subclass is a dataclass with fields n,
+    k and delta."""
+
+    k: int
+    delta: float
+
+    def __post_init__(self):
+        if not 1 <= self.k <= self.n:
+            raise ValueError(f"need 1 <= k <= n; got k={self.k}, n={self.n}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be finite and positive; got {self.delta}")
+
+    @cached_property
+    def _base(self) -> tuple[float, ...]:
+        # a running sum, bit-identical to harmonic_tail(k, s) at every s; built
+        # on the first evaluation, so a k that value_table refuses costs nothing
+        return tuple(accumulate((1.0 / (self.k + i) for i in range(1, self.k + 1)), initial=0.0))
+
+    @property
+    def k_max(self) -> int:
+        return self.k
+
+
 @dataclass(frozen=True)
-class UniqueGreedyPath(SetFunction):
+class UniqueGreedyPath(_Harmonic):
     """Harmonic chain rewards with a flat penalty off the prefix chain.
 
     Prefix sets {0, ..., s-1} are worth H_{s+k} - H_k; every other set of
@@ -210,21 +242,6 @@ class UniqueGreedyPath(SetFunction):
     n: int
     k: int
     delta: float = 0.01
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n; got k={self.k}, n={self.n}")
-        if not 0 < self.delta < math.inf:
-            raise ValueError(f"delta must be finite and positive; got {self.delta}")
-        object.__setattr__(
-            self,
-            "_base",
-            tuple(harmonic_tail(self.k, s) for s in range(self.k + 1)),
-        )
-
-    @property
-    def k_max(self) -> int:
-        return self.k
 
     def _value(self, mask: int) -> float:
         s = mask.bit_count()
@@ -243,7 +260,7 @@ class UniqueGreedyPath(SetFunction):
 
 
 @dataclass(frozen=True)
-class HarmonicInstance(SetFunction):
+class HarmonicInstance(_Harmonic):
     """Harmonic-reward hard instance with one delta-elevated chain.
 
     The base variant rewards the prefix chain {0,...,s-1} with
@@ -261,10 +278,7 @@ class HarmonicInstance(SetFunction):
     tail: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n; got k={self.k}, n={self.n}")
-        if not 0 < self.delta < math.inf:
-            raise ValueError(f"delta must be finite and positive; got {self.delta}")
+        super().__post_init__()
         if (self.prefix_len is None) != (self.tail is None):
             raise ValueError("prefix_len and tail must be given together")
         if self.tail is not None:
@@ -280,7 +294,7 @@ class HarmonicInstance(SetFunction):
                 raise ValueError("tail items must be distinct")
             for a in self.tail:
                 if not self.k <= a < self.n:
-                    raise OutOfRange(f"tail item {a} outside [k, n) = [{self.k}, {self.n})")
+                    raise ValueError(f"tail item {a} outside [k, n) = [{self.k}, {self.n})")
             chain = {}
             mask = (1 << p) - 1
             for a in self.tail:
@@ -289,19 +303,10 @@ class HarmonicInstance(SetFunction):
             if p == self.k:
                 chain[self.k] = mask  # planted chain degenerates to the prefix
             object.__setattr__(self, "_chain_masks", chain)
-        object.__setattr__(
-            self,
-            "_base",
-            tuple(harmonic_tail(self.k, s) for s in range(self.k + 1)),
-        )
 
     @property
     def is_elevated(self) -> bool:
         return self.tail is not None
-
-    @property
-    def k_max(self) -> int:
-        return self.k
 
     def _value(self, mask: int) -> float:
         s = mask.bit_count()
@@ -432,12 +437,3 @@ def spec_from_json(doc) -> SetFunction:
         _field(doc, "prefix_len", is_int, "an integer"),
         tuple(_field(doc, "tail", _int_list, "a list of integers")),
     )
-
-
-def tabular_from_spec(spec: SetFunction, k: int) -> Tabular:
-    """Materialize any spec as an explicit Tabular copy up to cardinality k,
-    read off ``structure.value_table`` and so refused by its size guard."""
-    from .structure import value_table  # structure imports this module
-
-    table = value_table(spec, k)
-    return Tabular(spec.n, k, dict(zip(table.masks, table.values.tolist())))

@@ -30,7 +30,6 @@ from itertools import islice, permutations
 
 import numpy as np
 
-from .errors import OutOfRange
 from .functions import SetFunction
 from .sets import ItemSet
 from .structure import approx_ratio, curvature, value_table
@@ -86,7 +85,7 @@ def chain_from_order(spec: SetFunction, k: int, order: tuple[int, ...]) -> Greed
     r = 0
     for a in order:
         if not 0 <= a < spec.n:
-            raise OutOfRange(f"item {a} outside [0, {spec.n})")
+            raise ValueError(f"item {a} outside [0, {spec.n})")
         grown = int(table.extend[r, a])
         if grown < 0:
             raise ValueError(f"item {a} repeated in order")

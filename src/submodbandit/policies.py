@@ -10,8 +10,8 @@ Each policy is one frozen dataclass that owns its whole protocol:
 * ``label`` -- defaults to ``sub_ucb_auto``, ``sub_ucb_l{l}``, ``etcg`` or
   ``ucb_all``.
 * ``resolve(n, k, T) -> (l, m)`` -- the stop level and per-arm budget used at
-  horizon T (None where the policy has none).  It raises CardinalityExceeded
-  and InvalidStopLevel before any pull.
+  horizon T (None where the policy has none).  It raises ValueError before
+  any pull.
 * ``run_batch(envs, k, T)`` -- pull sets of size at most k for exactly T
   steps against every fresh :class:`~submodbandit.envs.BanditEnv` (a used one
   raises ValueError before any noise is drawn) of a batch that shares one
@@ -48,35 +48,21 @@ The phases run in :mod:`~submodbandit.lockstep`, which steps every env of a
 batch together; each env's trajectory, levels and rewards are those of the
 same env run alone.  Its one resource guard is the feasible-set table's
 budget (``structure.value_table``): every flat arm is a row of that table,
-so a run over budget raises GroundSetTooLarge before any pull.
+so a run over budget raises GroundSetTooLarge, and a k above the spec's
+``k_max`` raises ValueError, before any pull.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
-from .analysis import auto_stop_level
+from .analysis import auto_stop_level, default_m
 from .envs import BanditEnv
-from .errors import CardinalityExceeded, InvalidStopLevel
 from .functions import is_int
 from .lockstep import greedy_then_flat
 from .sets import ItemSet
 
 AUTO = "auto"
-
-
-def default_m(T: int, n: int) -> int:
-    """Per-arm sample budget ceil(T^{2/3} n^{-2/3} (ln T)^{1/3}), at least 1."""
-    if T < 2 or n < 1:
-        raise ValueError(f"need T >= 2 and n >= 1; got T={T}, n={n}")
-    m = math.ceil(T ** (2.0 / 3.0) * n ** (-2.0 / 3.0) * math.log(T) ** (1.0 / 3.0))
-    return max(1, m)
-
-
-def _check_cardinality(n: int, k: int) -> None:
-    if k > n:
-        raise CardinalityExceeded(f"k={k} exceeds the ground set size n={n}")
 
 
 class _Policy:
@@ -131,11 +117,9 @@ class UcbAllPolicy(_Policy):
     kind = "ucb_all"
 
     def resolve(self, n: int, k: int, T: int) -> tuple[None, None]:
-        _check_cardinality(n, k)
         return None, None
 
     def run_batch(self, envs: list[BanditEnv], k: int, T: int) -> list[list[ItemSet]]:
-        self.resolve(envs[0].spec.n, k, T)
         return greedy_then_flat(envs, k, T, 0, None, uniform=False)
 
 
@@ -149,7 +133,6 @@ class EtcgPolicy(_Policy):
     kind = "etcg"
 
     def resolve(self, n: int, k: int, T: int) -> tuple[None, int]:
-        _check_cardinality(n, k)
         return None, self.m or default_m(T, n)
 
     def run_batch(self, envs: list[BanditEnv], k: int, T: int) -> list[list[ItemSet]]:
@@ -186,10 +169,9 @@ class SubUcbPolicy(_Policy):
         return "sub_ucb_auto" if self.l == AUTO else f"sub_ucb_l{self.l}"
 
     def resolve(self, n: int, k: int, T: int) -> tuple[int, int]:
-        _check_cardinality(n, k)
         l = auto_stop_level(n, k, T) if self.l == AUTO else self.l
         if not 0 <= l <= k:
-            raise InvalidStopLevel(f"stop level {l} outside [0, {k}]")
+            raise ValueError(f"stop level {l} outside [0, {k}]")
         return l, self.m or default_m(T, n)
 
     def run_batch(self, envs: list[BanditEnv], k: int, T: int) -> list[list[ItemSet]]:

@@ -28,8 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CardinalityExceeded, GroundSetTooLarge
-from .functions import SetFunction
+from .errors import GroundSetTooLarge
+from .functions import SetFunction, Tabular
 from .sets import ItemSet, feasible_count, masks_upto
 
 # feasible sets times n: the bits of all masks, and a bound on every per-item
@@ -71,7 +71,7 @@ class FeasibleTable:
 def value_table(spec: SetFunction, k: int) -> FeasibleTable:
     """The feasible-set table of ``spec`` up to size k, built once per spec."""
     if k > spec.k_max:
-        raise CardinalityExceeded(f"k={k} exceeds the spec's k_max={spec.k_max}")
+        raise ValueError(f"k={k} exceeds the spec's k_max={spec.k_max}")
     if k < 0:
         raise ValueError("k must be nonnegative")
     count = 0
@@ -94,6 +94,13 @@ def value_table(spec: SetFunction, k: int) -> FeasibleTable:
         values = np.fromiter(map(spec._value, masks), dtype=float, count=len(masks))
         spec.memo[key] = FeasibleTable(spec.n, masks, values, extend)
     return spec.memo[key]
+
+
+def tabular_from_spec(spec: SetFunction, k: int) -> Tabular:
+    """Materialize any spec as an explicit Tabular copy up to cardinality k,
+    read off ``value_table`` and so refused by its size guard."""
+    table = value_table(spec, k)
+    return Tabular(spec.n, k, dict(zip(table.masks, table.values.tolist())))
 
 
 @dataclass(frozen=True)

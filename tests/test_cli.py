@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,19 @@ def test_wide_ground_set_exit_3(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, command, str(path))
     assert code == 3
     assert out == "" and "resource guard" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "instance"])
+@pytest.mark.parametrize("k", [3, -1], ids=["above-k_max", "negative"])
+def test_target_k_outside_the_spec_exit_2(tmp_path, capsys, command, k):
+    # the spec's k_max is 2: value_table refuses k before any check or dump
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"function": harmonic_base(6, 2).to_json(), "k": k}))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert re.match(r"error: k\b", err)
+    assert "Traceback" not in err
+    assert out == ""
 
 
 def test_verify_unknown_name(capsys):
@@ -482,6 +496,20 @@ def test_horizon_over_the_record_budget_exits_3_in_a_fresh_interpreter(tmp_path)
     assert "a cell ran" not in proc.stderr
     assert proc.stdout == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_harmonic_level_table_is_not_built_before_the_budget_refuses(tmp_path):
+    # a bare spec verifies at k = k_max = 200,000: the table budget refuses it
+    # before anything of size k, let alone O(k^2), is built
+    spec = {"kind": "unique_greedy_path", "n": 200_000, "k": 200_000, "delta": 0.01}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    start = time.monotonic()
+    proc = _run_without_cells(tmp_path, ["verify", str(tmp_path / "spec.json")])
+    assert time.monotonic() - start < 60
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("resource guard:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_readme_config_and_cli_block_match_the_code():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_monotone_submodular
-from submodbandit import experiments, lockstep
+from submodbandit import experiments, lockstep, tabular_from_spec
 from submodbandit.analysis import benchmark_summary
 from submodbandit.catalog import experiment_cover, harmonic_base, harmonic_elevated
 from submodbandit.errors import ConfigError, GroundSetTooLarge, RecordTooLarge
@@ -17,7 +17,7 @@ from submodbandit.experiments import (
     load_config,
     run_experiment,
 )
-from submodbandit.functions import SetFunction, UniqueGreedyPath, WeightedCover, tabular_from_spec
+from submodbandit.functions import SetFunction, UniqueGreedyPath, WeightedCover
 from submodbandit.policies import EtcgPolicy, SubUcbPolicy, UcbAllPolicy
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given
@@ -16,7 +17,6 @@ from submodbandit import (
     tabular_from_spec,
 )
 from submodbandit.catalog import experiment_cover
-from submodbandit.errors import CardinalityExceeded, OutOfRange
 
 
 def test_harmonic_base_values():
@@ -56,7 +56,7 @@ def test_harmonic_elevated_with_prefix():
 def test_harmonic_validation():
     with pytest.raises(ValueError):
         HarmonicInstance(6, 2, 1 / 32, 0, (2, 2))
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ValueError, match=r"tail item 1 outside \[k, n\) = \[2, 6\)"):
         HarmonicInstance(6, 2, 1 / 32, 0, (1, 3))  # tail below k
     with pytest.raises(ValueError):
         HarmonicInstance(6, 2, 1 / 32, 1, (2, 3))  # wrong tail length
@@ -96,9 +96,9 @@ def test_unique_greedy_path_values():
 
 def test_domain_errors():
     h = HarmonicInstance(4, 2, 1 / 32)
-    with pytest.raises(CardinalityExceeded):
+    with pytest.raises(ValueError, match=r"\|S\|=3 exceeds k_max=2"):
         evaluate(h, ItemSet.of([0, 1, 2]))
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ValueError, match="set 4 has items >= n=4"):
         evaluate(h, ItemSet.of([4]))
 
 
@@ -111,6 +111,18 @@ def test_tabular_validation():
         Tabular(2, 1, {0: 0.3, 1: 0.5, 2: 0.1})  # empty set must be 0
     t = Tabular(2, 1, {0: 0.0, 1: 0.5, 2: 0.1})
     assert evaluate(t, ItemSet.of([0])) == 0.5
+
+
+def test_tabular_size_check_stops_past_the_table():
+    # a complete table at n = k_max = 20,000 has over 2^19,999 entries: counting
+    # them all takes minutes and gives a number too long for an int's str()
+    doc = {"kind": "tabular", "n": 20_000, "k_max": 20_000, "table": {"": 0}}
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^table has 1 entries; .* needs more than 1$"):
+        spec_from_json(doc)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match=r"^table has 2 entries; .* n=2 needs 3$"):
+        Tabular(2, 1, {0: 0.0, 1: 0.5})
 
 
 def test_evaluate_deterministic_and_bounded():

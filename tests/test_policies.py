@@ -19,7 +19,7 @@ from submodbandit import (
 )
 from submodbandit.functions import SetFunction
 from submodbandit.catalog import experiment_cover, harmonic_base
-from submodbandit.errors import GroundSetTooLarge, InvalidStopLevel
+from submodbandit.errors import GroundSetTooLarge
 from submodbandit.functions import UniqueGreedyPath
 from submodbandit.lockstep import MAX_BATCH_CELLS, phase_arms
 from submodbandit.sets import feasible_count, masks_upto
@@ -112,11 +112,11 @@ def test_sub_ucb_budget_guard_mid_phase():
 
 
 def test_sub_ucb_invalid_stop_level():
-    with pytest.raises(InvalidStopLevel):
+    with pytest.raises(ValueError, match=r"stop level 3 outside \[0, 2\]"):
         SubUcbPolicy(l=3).resolve(6, 2, 10)
-    with pytest.raises(InvalidStopLevel):
+    with pytest.raises(ValueError, match=r"stop level 3 outside \[0, 2\]"):
         SubUcbPolicy(l=3).run(_fresh(harmonic_base(6, 2), 1.0, 0), 2, 10)
-    with pytest.raises(InvalidStopLevel):
+    with pytest.raises(ValueError, match=r"stop level -1 outside \[0, 2\]"):
         SubUcbPolicy(l=-1).resolve(6, 2, 10)
 
 
@@ -276,12 +276,11 @@ def test_policies_deterministic_given_seed():
 
 def test_cardinality_above_ground_set_rejected():
     spec = harmonic_base(6, 2)
-    from submodbandit.errors import CardinalityExceeded
-
-    with pytest.raises(CardinalityExceeded):
-        _trajectory(UcbAllPolicy(), _fresh(spec, 1.0, 0), 7, 10)
-    with pytest.raises(CardinalityExceeded):
-        _trajectory(EtcgPolicy(m=1), _fresh(spec, 1.0, 0), 7, 10)
+    for policy in (UcbAllPolicy(), EtcgPolicy(m=1)):
+        env = _fresh(spec, 1.0, 0)
+        with pytest.raises(ValueError, match="k=7 exceeds the spec's k_max=2"):
+            _trajectory(policy, env, 7, 10)
+        assert env.t == 0
 
 
 def test_greedy_levels_beat_flat_ucb_at_desk_scale():
