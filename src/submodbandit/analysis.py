@@ -32,15 +32,22 @@ def i_star(n: int, k: int, T: int) -> int:
     """Largest i in [1, k] with (16 / (n^2 k^6)) * C(n-k, i)^3 <= T, else 0.
 
     Evaluated in exact integer arithmetic (16 C^3 <= T n^2 k^6) so boundary
-    horizons never depend on float rounding.
+    horizons never depend on float rounding.  C(n-k, i) is unimodal in i, so
+    when i = k fails, the i that pass below it are a prefix of [1, k), and a
+    walk up from i = 1 ends at its first failure, by the mode (n-k) // 2.
     """
     if not (n > k >= 1) or T < 1:
         raise ValueError(f"need n > k >= 1 and T >= 1; got n={n}, k={k}, T={T}")
     rhs = T * n * n * k**6
-    for i in range(k, 0, -1):
-        if 16 * math.comb(n - k, i) ** 3 <= rhs:
-            return i
-    return 0
+    N = n - k
+    if 16 * math.comb(N, k) ** 3 <= rhs:
+        return k
+    c = 1
+    for i in range(1, k):
+        c = c * (N - i + 1) // i  # C(N, i), exactly
+        if 16 * c**3 > rhs:
+            return i - 1
+    return k - 1
 
 
 def auto_stop_level(n: int, k: int, T: int) -> int:

@@ -47,6 +47,22 @@ def test_i_star_nondecreasing_in_T():
     assert i_star(15, 4, threshold - 1) == 3
 
 
+def test_i_star_equals_the_downward_search():
+    # the upward walk over the unimodal C(n - k, i) answers as the plain
+    # search from i = k down, which cubes a big integer at every level
+    def downward(n, k, T):
+        for i in range(k, 0, -1):
+            if 16 * math.comb(n - k, i) ** 3 <= T * n * n * k**6:
+                return i
+        return 0
+
+    horizons = [1, 2] + [10**e for e in range(1, 16)]
+    for n in range(2, 40):
+        for k in range(1, n):
+            for T in horizons:
+                assert i_star(n, k, T) == downward(n, k, T), (n, k, T)
+
+
 def test_auto_stop_level():
     assert auto_stop_level(15, 4, 100) == 1
     assert auto_stop_level(15, 4, 10**6) == 0

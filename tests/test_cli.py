@@ -498,6 +498,16 @@ def test_horizon_over_the_record_budget_exits_3_in_a_fresh_interpreter(tmp_path)
     assert not (tmp_path / "out").exists()
 
 
+def test_bounds_at_large_k_answers_at_once_in_a_fresh_interpreter(tmp_path):
+    # i_star at k = 10,000 walks up from i = 1 instead of cubing C(20000, i)
+    # for every i from k down; the same call resolves a config's l: "auto"
+    start = time.monotonic()
+    proc = _run_without_cells(tmp_path, ["bounds", "30000", "10000", "10"])
+    assert time.monotonic() - start < 10
+    assert proc.returncode == 0, proc.stderr
+    assert "i_star       = 2" in proc.stdout
+
+
 def test_harmonic_level_table_is_not_built_before_the_budget_refuses(tmp_path):
     # a bare spec verifies at k = k_max = 200,000: the table budget refuses it
     # before anything of size k, let alone O(k^2), is built

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from submodbandit import (
     evaluate,
     exact_greedy,
 )
+from submodbandit import lockstep
 from submodbandit.functions import SetFunction
 from submodbandit.catalog import experiment_cover, harmonic_base
 from submodbandit.errors import GroundSetTooLarge
@@ -415,3 +417,126 @@ def test_run_on_a_used_env_raises_before_any_noise():
     assert used.t == 1
     assert used.pull(ItemSet.of([1, 2])) == twin.pull(ItemSet.of([1, 2]))
     assert used.trajectory == twin.trajectory
+
+
+def _window_state(rows, width):
+    """A lockstep batch of the given shape whose state a test then sets."""
+    spec = harmonic_base(6, 2)
+    envs = [BanditEnv(spec, 0.0, seed) for seed in range(rows)]
+    return lockstep.Lockstep(envs, value_table(spec, 2), 2, 1, 0, None, False, width)
+
+
+def _walk_window(lock, t, end, sched, pull):
+    """Step a window from t to end against the dense index: each accepted
+    choice must be the dense argmax of every free row.  Row r then pulls
+    ``pull(r, choice)``: a cell with the mean it returns.  Returns the
+    number of steps the window accepted before it fell back."""
+    free = ~sched
+    with np.errstate(divide="ignore", invalid="ignore"):
+        window = lock._window(t, end, sched)
+        for s in range(t, end):
+            got = lock._window_argmax(s, window)
+            want = lock._index_argmax(s)
+            if got is None:  # the engine falls back to the dense index
+                return s - t
+            assert (got[free] == want[free]).all()
+            for r in range(len(sched)):
+                j, mean = pull(r, int(got[r]))
+                if lock.means[r, j] > -np.inf:
+                    lock.counts[r, j] += 1
+                    lock.means[r, j] = mean
+    return end - t
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_window_choice_equals_the_dense_argmax(data):
+    """At every step of a candidate window that accepts, each free row's
+    choice is the dense index argmax, ties included, while the rows pull
+    their choices (and the scheduled rows any arm).  Each row's arms share a
+    few (pulls, mean) pairs, so that many indexes tie."""
+    rows = data.draw(st.integers(1, 4), label="rows")
+    width = data.draw(st.integers(lockstep.WINDOW_ARMS + 1, 3 * lockstep.WINDOW_ARMS), label="width")
+    lock = _window_state(rows, width)
+    means = st.sampled_from([0.0, 0.25, 0.5, 0.5000000000000001, 0.75, 1.0])
+    sched = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows), label="sched"))
+    for r in range(rows):
+        low = 0 if sched[r] else 1  # a free row has pulled each of its arms
+        pairs = data.draw(st.lists(st.tuples(st.integers(low, 4), means), min_size=1, max_size=3))
+        arms = data.draw(st.integers(1, width), label="arms")
+        groups = st.lists(st.integers(0, len(pairs) - 1), min_size=arms, max_size=arms)
+        for a, i in enumerate(data.draw(groups, label="groups")):
+            lock.counts[r, a], lock.means[r, a] = pairs[i]
+
+    def pull(r, j):
+        if sched[r]:
+            j = data.draw(st.integers(0, width - 1), label="scheduled pull")
+        return j, data.draw(means, label="mean")
+
+    t = data.draw(st.integers(2, 10**4), label="t")
+    end = t + data.draw(st.integers(1, lockstep.WINDOW_STEPS), label="steps")
+    _walk_window(lock, t, end, sched, pull)
+
+
+def test_window_falls_back_when_its_candidates_tie_with_the_rest():
+    # every arm has one index, which at a one-step window is also its bound:
+    # the best candidate only equals tau, and the dense index picks arm 0
+    lock = _window_state(2, 100)
+    lock.counts[:] = 3.0
+    lock.means[:] = 0.5
+    sched = np.zeros(2, bool)
+    assert _walk_window(lock, 50, 51, sched, lambda r, j: (j, 0.5)) == 0
+    assert lock._index_argmax(50).tolist() == [0, 0]
+
+
+def test_window_bound_holds_at_its_last_step():
+    # 64 arms pulled 4 times with mean 1 lead 36 arms pulled twice with mean
+    # 0.5 at t = 2, but the latter's larger bonus overtakes them by t = 3: a
+    # bound taken at the window's first step would accept a wrong arm there
+    lock = _window_state(1, 100)
+    lock.counts[0, :64], lock.means[0, :64] = 4.0, 1.0
+    lock.counts[0, 64:], lock.means[0, 64:] = 2.0, 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert lock._index_argmax(2)[0] == 0 and lock._index_argmax(3)[0] == 64
+    _walk_window(lock, 2, 2 + lockstep.WINDOW_STEPS, np.zeros(1, bool), lambda r, j: (j, 1.0))
+
+
+@pytest.mark.parametrize(
+    "rows, width, windowed",
+    [
+        (8, 1365, True),  # desk-grid's flat phase
+        (4, 1365, True),
+        (1, 1365, False),  # a solo run
+        (8, 153, False),  # tabular-cells' flat phase
+        (64, 78, False),  # many envs, few arms outside the window
+        (16, 364, True),
+    ],
+)
+def test_window_opens_only_where_it_leaves_enough_arms_out(rows, width, windowed):
+    assert _window_state(rows, width).windowed == windowed
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+@pytest.mark.parametrize("l", [0, 1])
+def test_windowed_and_dense_runs_are_identical(monkeypatch, sigma, l):
+    spec, k = experiment_cover()
+    accepted = []
+    window_argmax = lockstep.Lockstep._window_argmax
+
+    def spy(self, t, window):
+        j = window_argmax(self, t, window)
+        accepted.append(j is not None)
+        return j
+
+    monkeypatch.setattr(lockstep.Lockstep, "_window_argmax", spy)
+    runs = {}
+    for cells in (0, math.inf):  # a window on every batch, then on none
+        monkeypatch.setattr(lockstep, "WINDOW_CELLS", cells)
+        envs = [BanditEnv(spec, sigma, seed) for seed in range(8)]
+        levels = SubUcbPolicy(l=l, m=20).run_batch(envs, k, 4000)
+        runs[cells] = levels, [env.trajectory.to_csv() for env in envs]
+        if cells == 0:
+            assert any(accepted)  # the window chose arms, not only the fallback
+            accepted.clear()
+    assert accepted == []  # the dense run never opened a window
+    assert runs[0] == runs[math.inf]
