@@ -58,7 +58,7 @@ WINDOW_ARMS, WINDOW_STEPS = 64, 32
 
 def phase_arms(table: FeasibleTable, base: int, size: int) -> np.ndarray:
     """The ranks of the sets of ``size`` items that contain the set of rank
-    ``base``, ascending: ``masks_upto`` order, which for one item more than
+    ``base``, ascending: ``sort_key`` order, which for one item more than
     the base is item order."""
     arms = np.array([base])
     for _ in range(size - table.masks[base].bit_count()):

@@ -9,7 +9,6 @@ equal regardless of construction order.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import Iterable, Iterator
 
 
@@ -95,13 +94,6 @@ def sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
 def feasible_count(n: int, k: int) -> int:
     """Number of subsets of size <= k of n items (0 for k < 0)."""
     return sum(math.comb(n, i) for i in range(k + 1))
-
-
-def masks_upto(n: int, k: int) -> Iterator[int]:
-    """Every mask over n items with popcount <= k, in ``sort_key`` order."""
-    for size in range(k + 1):
-        for combo in combinations(range(n), size):
-            yield sum(1 << a for a in combo)
 
 
 def _members(mask: int) -> tuple[int, ...]:

@@ -1,14 +1,32 @@
 """Structural property checks over the feasible sets of a spec.
 
 The feasible sets are the subsets of size <= k.  ``value_table(spec, k)``
-lists them once, in ``masks_upto`` order, as a :class:`FeasibleTable`
+lists them once, in ``sets.sort_key`` order, as a :class:`FeasibleTable`
 indexed by rank: the masks, their values and, for every set S with |S| < k,
 the rank of S + b for each item b.  Every exhaustive computation (the checks
 below, the greedy chains and the benchmark DP) is a gather over that one
 index, so the work grows with the number of feasible sets rather than with
 2^n, and masks stay Python ints, so n > 62 is fine.  The table is kept in the
 spec's own ``memo``.  Its only resource guard is a budget on the number of
-feasible sets times n, checked before any value is computed.
+feasible sets times n, checked before any array is allocated or any value is
+computed.
+
+The order is by size, then by the sorted member tuple, so the sets of size s
+are each set P of size s - 1, in order, followed by its children P + x for
+every x > last(P) (the largest item of P, -1 for the empty set), ascending.
+The table is built one level at a time in numpy from the level below, with
+no rank lookup: ``np.repeat`` over the child counts n - 1 - last(P) lists a
+level, so P + x has rank origin[P] + x for every x > last(P), where origin[P]
+is P's first child's rank less last(P) + 1.  A row of ``extend`` is then
+
+    extend[P, b] = -1                     if b in P
+                 = origin[P] + b          if b > last(P)
+                 = origin[R] + last(P)    otherwise,
+
+where R = extend[parent(P), b], read from the level before, is parent(P) + b,
+so P + b is R + last(P) with last(P) > last(R).  Each level's masks are its
+parents' masks OR-ed with one bit each, on object arrays of Python ints.  The
+values are one ``spec._value`` call per set.
 
 Submodularity is checked through the pairwise condition
 
@@ -30,19 +48,20 @@ import numpy as np
 
 from .errors import GroundSetTooLarge
 from .functions import SetFunction, Tabular
-from .sets import ItemSet, feasible_count, masks_upto
+from .sets import ItemSet, feasible_count
 
 # feasible sets times n: the bits of all masks, and a bound on every per-item
 # loop over the table.  At n=19, k=19 (524,288 sets, the largest admitted) the
-# build takes about 4 s and 130 MB, and 410 MB with every check and the
-# benchmark DP run on it; at k=1 and k=2 it stays under 0.3 s and 40 MB
+# build takes about 0.7 s and a fresh interpreter peaks at 115 MB, and
+# ``verify.run_checks`` on it takes about 5 s and 300 MB (2-CPU Xeon); at
+# k=1 and k=2 the build stays under 0.05 s and 35 MB
 MAX_TABLE_BITS = 10_000_000
 CHECK_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class FeasibleTable:
-    """The sets of size <= k, indexed by their rank in ``masks_upto`` order.
+    """The sets of size <= k, indexed by their rank in ``sort_key`` order.
 
     ``extend[r, b]`` is the rank of ``masks[r] + b`` for every r with
     |masks[r]| < k, and -1 when b is already in ``masks[r]``.
@@ -84,16 +103,46 @@ def value_table(spec: SetFunction, k: int) -> FeasibleTable:
             )
     key = ("value_table", k)
     if key not in spec.memo:
-        masks = tuple(masks_upto(spec.n, k))
-        rank = {mask: r for r, mask in enumerate(masks)}
-        bits = [1 << b for b in range(spec.n)]
-        extend = np.empty((feasible_count(spec.n, k - 1), spec.n), dtype=np.int32)
-        for r in range(len(extend)):
-            mask = masks[r]
-            extend[r] = [-1 if mask & bit else rank[mask | bit] for bit in bits]
+        masks, extend = _ranked_sets(spec.n, k)
         values = np.fromiter(map(spec._value, masks), dtype=float, count=len(masks))
         spec.memo[key] = FeasibleTable(spec.n, masks, values, extend)
     return spec.memo[key]
+
+
+def _ranked_sets(n: int, k: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The masks of size <= k in ``sort_key`` order and their extend table,
+    built one level at a time from the level below (see the module docstring)."""
+    extend = np.empty((feasible_count(n, k - 1), n), dtype=np.int32)
+    origin = np.empty(len(extend), dtype=np.int32)  # the rank of P + x, less x
+    items = np.arange(n, dtype=np.int32)
+    bits = np.array([1 << b for b in range(n)], dtype=object)
+    masks = [0]
+    level_masks = np.zeros(1, dtype=object)
+    level_last = np.full(1, -1, dtype=np.int32)
+    lo = 0
+    for size in range(k):  # the rows of this level, then the sets one larger
+        hi = lo + len(level_last)
+        counts = n - 1 - level_last
+        # P's j-th child (from 0) is P + (last(P) + 1 + j), at rank hi + j plus
+        # the children of the sets before P; shift[P] is that count less last(P) + 1
+        shift = np.cumsum(counts, dtype=np.int32) - counts - level_last - 1
+        origin[lo:hi] = hi + shift
+        rows, last_p = extend[lo:hi], level_last[:, None]
+        if size:
+            up = extend[parent]  # parent(P) + b, -1 if b is in parent(P)
+            np.take(origin, up, out=rows, mode="wrap")  # the -1 entries are reset below
+            rows += last_p
+            rows[up < 0] = -1
+            rows[np.arange(hi - lo), level_last] = -1  # b = last(P)
+            del up
+        np.add(origin[lo:hi, None], items, out=rows, where=items > last_p)
+        parent = np.repeat(np.arange(hi - lo, dtype=np.int32), counts)
+        level_last = np.arange(len(parent), dtype=np.int32) - np.repeat(shift, counts)
+        level_masks = level_masks[parent] | bits[level_last]
+        masks.extend(level_masks.tolist())
+        parent += lo
+        lo = hi
+    return tuple(masks), extend
 
 
 def tabular_from_spec(spec: SetFunction, k: int) -> Tabular:

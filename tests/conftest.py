@@ -1,5 +1,9 @@
 """Shared test helpers: instance generators and naive reference checkers.
 
+``masks_upto`` is the reference order of the feasible-set table: every mask
+of popcount <= k by size, then by sorted member tuple, straight from
+``itertools.combinations``.
+
 The naive checkers quantify over every (A, B, a) triple straight from the
 definitions; they are deliberately independent of the package's vectorized
 implementations so the two routes cross-check each other.
@@ -13,6 +17,13 @@ from itertools import combinations
 import numpy as np
 
 from submodbandit import ItemSet, Tabular
+
+
+def masks_upto(n: int, k: int):
+    """Every mask over n items with popcount <= k, in ``sets.sort_key`` order."""
+    for size in range(k + 1):
+        for combo in combinations(range(n), size):
+            yield sum(1 << a for a in combo)
 
 
 def random_monotone_submodular(seed: int, n: int, k: int) -> Tabular:
@@ -50,11 +61,7 @@ def random_monotone_submodular(seed: int, n: int, k: int) -> Tabular:
                 total += jitter[a]
         return total
 
-    masks = [
-        sum(1 << a for a in combo)
-        for size in range(k + 1)
-        for combo in combinations(range(n), size)
-    ]
+    masks = list(masks_upto(n, k))
     peak = max(raw(m) for m in masks)
     scale = 0.97 / peak if peak > 0 else 1.0
     return Tabular(n, k, {m: raw(m) * scale for m in masks})

@@ -1,9 +1,12 @@
 """Committed benchmark records (``BENCH_*.json`` at the repository root)
 name only the workloads and metrics that ``BENCHMARK.json`` declares, so a
-record cannot drift from the benchmark that produced it."""
+record cannot drift from the benchmark that produced it, and every side of a
+record begins with the 40-hex-digit hash of the commit it measured (a change
+measured before its own commit exists is written ``<parent hash>+change``)."""
 
 import json
 import math
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,7 +25,7 @@ def test_bench_records_name_only_declared_workloads_and_metrics():
         doc = json.loads(path.read_text())
         assert doc["sides"], path.name
         for side, record in doc["sides"].items():
-            assert record["commit"], (path.name, side)
+            assert re.match(r"[0-9a-f]{40}(?![0-9a-f])", record["commit"]), (path.name, side)
             for kind, names in declared.items():
                 for workload, metrics in record[kind].items():
                     assert workload in workloads, (path.name, side, workload)

@@ -5,7 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from conftest import enumerate_chain_costs, random_monotone_submodular
+from conftest import enumerate_chain_costs, masks_upto, random_monotone_submodular
 from submodbandit import (
     GreedyChain,
     HarmonicInstance,
@@ -28,7 +28,6 @@ from submodbandit.catalog import (
     unique_path,
 )
 from submodbandit.greedy import FULL_ENUM_CAP
-from submodbandit.sets import masks_upto
 
 
 def test_exact_greedy_cover_chain():

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_greedy_then_flat, pulled_sets_ok, random_monotone_submodular
+from conftest import (
+    masks_upto,
+    naive_greedy_then_flat,
+    pulled_sets_ok,
+    random_monotone_submodular,
+)
 from submodbandit import (
     BanditEnv,
     EtcgPolicy,
@@ -24,7 +29,7 @@ from submodbandit.catalog import experiment_cover, harmonic_base
 from submodbandit.errors import GroundSetTooLarge
 from submodbandit.functions import UniqueGreedyPath
 from submodbandit.lockstep import MAX_BATCH_CELLS, phase_arms
-from submodbandit.sets import feasible_count, masks_upto
+from submodbandit.sets import feasible_count
 from submodbandit.structure import MAX_TABLE_BITS, value_table
 
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import masks_upto
 from submodbandit import ItemSet
-from submodbandit.sets import masks_upto, sort_key
+from submodbandit.sets import sort_key
 
 
 def test_equality_is_order_independent():

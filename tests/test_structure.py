@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    masks_upto,
     naive_curvature,
     naive_is_monotone,
     naive_is_submodular,
@@ -24,7 +27,7 @@ from submodbandit import (
 )
 from submodbandit.catalog import experiment_cover, harmonic_base
 from submodbandit.errors import GroundSetTooLarge
-from submodbandit.sets import feasible_count, masks_upto
+from submodbandit.sets import feasible_count
 from submodbandit.structure import MAX_TABLE_BITS
 from submodbandit.verify import run_checks
 
@@ -133,22 +136,38 @@ def test_approx_ratio():
         approx_ratio(1.5)
 
 
-@pytest.mark.parametrize("n, k", [(1, 0), (1, 1), (5, 3), (6, 6), (70, 2)])
-def test_feasible_table_is_ranked_index(n, k):
+def _assert_ranked_index(n, k):
+    # the naive reference: masks_upto order, a rank dict, and one lookup per (S, b)
     spec = harmonic_base(n, max(k, 1)) if k else Tabular(n, 0, {0: 0.0})
     table = value_table(spec, k)
-    assert table.masks == tuple(masks_upto(n, k))
-    assert len(table.masks) == feasible_count(n, k)
-    rank = {mask: r for r, mask in enumerate(table.masks)}
-    assert len(rank) == len(table.masks)  # no mask listed twice
-    assert table.values.tolist() == [spec.value_of_mask(mask) for mask in table.masks]
+    masks = tuple(masks_upto(n, k))
+    rank = {mask: r for r, mask in enumerate(masks)}
+    assert table.masks == masks and all(type(mask) is int for mask in table.masks)
+    assert len(masks) == len(rank) == feasible_count(n, k)  # no mask listed twice
+    assert table.values.dtype == np.float64
+    assert table.values.tolist() == [spec.value_of_mask(mask) for mask in masks]
+    assert table.extend.dtype == np.int32 and table.extend.flags.c_contiguous
     assert table.extend.shape == (feasible_count(n, k - 1), n)
     for r, row in enumerate(table.extend.tolist()):
-        mask = table.masks[r]
+        mask = masks[r]
         assert row == [-1 if mask >> b & 1 else rank[mask | 1 << b] for b in range(n)]
     for size in range(k + 1):
         assert all(m.bit_count() == size for m in table.masks[table.level(size)])
     assert value_table(spec, k) is table  # kept in the spec's memo
+
+
+# (63, 2), (64, 2) and (65, 2): the top masks cross the int64 edge
+@pytest.mark.parametrize(
+    "n, k", [(1, 0), (1, 1), (5, 3), (6, 6), (70, 2), (20, 5), (63, 2), (64, 2), (65, 2)]
+)
+def test_feasible_table_is_ranked_index(n, k):
+    _assert_ranked_index(n, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.data())
+def test_feasible_table_is_ranked_index_at_every_small_shape(n, data):
+    _assert_ranked_index(n, data.draw(st.integers(min_value=0, max_value=n)))
 
 
 def test_ground_set_guard(monkeypatch):
