@@ -22,4 +22,5 @@ class GroundSetTooLarge(SubmodBanditError):
 
 
 class RecordTooLarge(SubmodBanditError):
-    """A group's step record (trials times T) exceeds the run's budget."""
+    """One policy's step record (trials times the longest T) exceeds the budget
+    of a group, one batch per (horizon, program): T and phases (l, m, rule)."""

@@ -4,13 +4,15 @@ A run is a grid of cells (policy, horizon, trial).  Each cell derives its
 seed from a stable 64-bit hash of (base_seed, policy index, T, trial), runs
 its policy against a fresh environment and reports pseudo-regret at the
 requested checkpoints against the exact benchmarks, which the run computes
-once and hands to every cell.  The trials of one (policy, T) group run in
-lockstep as one batch (``Policy.run_batch``), and each trial's trajectory is
-the one it would have alone.  Groups are independent, so they may be
-executed in any order or in parallel (``jobs`` worker processes, one group
-at a time each); results are merged in (policy, T, trial, checkpoint) order
-and written with 17 significant digits, which makes results.csv
-byte-identical across runs and across worker counts.
+once and hands to every cell.  A policy's program at T is the phases it
+runs, ``greedy_then_flat``'s (l, m, uniform) (``Policy.program``); there is
+one lockstep batch per (horizon, program), the trials of its policies end to
+end in grid order, and each trial's trajectory is the one it would have
+alone.  Groups are independent, so they may be executed in any order or in
+parallel (``jobs`` worker processes, one group at a time each); results are
+merged in (policy, T, trial, checkpoint) order and written with 17
+significant digits, which makes results.csv byte-identical across runs and
+across worker counts.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ from .analysis import benchmark_summary, regret_report
 from .envs import BanditEnv
 from .errors import ConfigError, RecordTooLarge
 from .functions import SetFunction, is_finite_number, is_int, spec_from_json
+from .lockstep import greedy_then_flat
 from .policies import Policy, policy_from_json
 from .svgplot import RESULTS_HEADER
 
-# trials times T of one (policy, T) group: the steps its lockstep record holds
-# at once, about 12 bytes each, so 1.6 GB
+# envs times T of one group, one batch per (horizon, program): the steps its
+# lockstep record holds at once, about 12 bytes each, so 1.6 GB.  A program's
+# policies fill its groups in grid order, each as full as this allows
 MAX_RECORD_STEPS = 2**27
 
 
@@ -204,21 +208,23 @@ def checkpoint_grid(checkpoints: str | tuple[int, ...], T: int) -> tuple[int, ..
     return tuple(t for t in checkpoints)
 
 
-def _run_group(group: tuple) -> list[str]:
-    """Worker: every trial of one (policy, T) group, in lockstep; returns
-    formatted CSV lines in (trial, checkpoint) order."""
-    spec, summary, policy, k, sigma, T, seeds, cps = group
-    envs = [BanditEnv(spec, sigma, seed) for seed in seeds]
-    policy.run_batch(envs, k, T)
-    lines = []
-    for trial, (seed, env) in enumerate(zip(seeds, envs)):
-        for row in regret_report(env, summary, cps).checkpoints:
-            lines.append(
-                f"{policy.label},{T},{trial},{seed},{row.t},"
-                f"{row.cum_reward:.17g},{row.regret_opt:.17g},"
-                f"{row.regret_alpha:.17g},{row.regret_gr:.17g}"
-            )
-    return lines
+def _run_group(group: tuple) -> dict[tuple[int, int], list[str]]:
+    """Worker: one batch per (horizon, program), every trial of its members
+    (policies with that program at T) in lockstep; returns each member's CSV
+    lines in (trial, checkpoint) order, keyed by (policy index, T)."""
+    spec, summary, k, sigma, T, program, members = group
+    envs = [[BanditEnv(spec, sigma, seed) for seed in seeds] for _, _, seeds, _ in members]
+    greedy_then_flat([env for batch in envs for env in batch], k, T, *program)
+    cells = {}
+    for (p_idx, policy, seeds, cps), batch in zip(members, envs):
+        cells[p_idx, T] = [
+            f"{policy.label},{T},{trial},{seed},{row.t},"
+            f"{row.cum_reward:.17g},{row.regret_opt:.17g},"
+            f"{row.regret_alpha:.17g},{row.regret_gr:.17g}"
+            for trial, (seed, env) in enumerate(zip(seeds, batch))
+            for row in regret_report(env, summary, cps).checkpoints
+        ]
+    return cells
 
 
 def run_experiment(
@@ -226,8 +232,8 @@ def run_experiment(
 ) -> tuple[Path, Path]:
     """Execute every cell, write results.csv and manifest.json.
 
-    ``jobs`` is the number of worker processes, one (policy, T) group at a
-    time each; 1 runs serially.  Returns (results_path, manifest_path).
+    ``jobs`` is the number of worker processes, one (horizon, program) group
+    at a time each; 1 runs serially.  Returns (results_path, manifest_path).
     Raises ValueError on a ``jobs`` below 1, and RecordTooLarge (trials times
     the longest T over MAX_RECORD_STEPS) or GroundSetTooLarge (the feasible
     sets times n over the exact table's budget) before any cell runs or any
@@ -250,12 +256,14 @@ def run_experiment(
     if steps > MAX_RECORD_STEPS:
         raise RecordTooLarge(f"trials times T is {steps:,} steps, over {MAX_RECORD_STEPS:,}")
     summary = benchmark_summary(config.function, config.k)
-    groups = []
+    packed = {}  # (T, program) -> its groups of (policy index, policy, seeds, checkpoints)
     manifest_cells = []
     for p_idx, policy, T, l, m in grid:
-        cps = checkpoint_grid(config.checkpoints, T)
         seeds = [derive_seed(config.base_seed, p_idx, T, trial) for trial in range(config.trials)]
-        groups.append((config.function, summary, policy, config.k, config.sigma, T, seeds, cps))
+        packs = packed.setdefault((T, policy.program(config.n, config.k, T)), [[]])
+        if (len(packs[-1]) + 1) * config.trials * T > MAX_RECORD_STEPS:
+            packs.append([])
+        packs[-1].append((p_idx, policy, seeds, checkpoint_grid(config.checkpoints, T)))
         for trial, seed in enumerate(seeds):
             manifest_cells.append(
                 {
@@ -273,16 +281,22 @@ def run_experiment(
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output_dir '{out}': {exc}") from exc
+    groups = [
+        (config.function, summary, config.k, config.sigma, T, program, members)
+        for (T, program), packs in packed.items()
+        for members in packs
+    ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_group, groups, chunksize=1))
     else:
         results = [_run_group(group) for group in groups]
 
+    cells = {key: lines for group_cells in results for key, lines in group_cells.items()}
     results_path = out / "results.csv"
     lines = [",".join(RESULTS_HEADER)]
-    for group_lines in results:
-        lines.extend(group_lines)
+    for p_idx, _, T, _, _ in grid:
+        lines.extend(cells[p_idx, T])
     results_path.write_text("\n".join(lines) + "\n")
 
     manifest_path = out / "manifest.json"

@@ -42,8 +42,8 @@ from .envs import BanditEnv
 from .sets import ItemSet
 from .structure import FeasibleTable, value_table
 
-# envs times arms of one lockstep batch (8 MB per state array); a group of
-# envs over more cells runs as several batches, one after the other
+# envs times arms of one lockstep batch (8 MB per state array); a group, one
+# per (horizon, program), over more cells runs as several, one after another
 MAX_BATCH_CELLS = 2**20
 # envs times steps of one block of scheduled pulls, which bounds its temporaries
 BLOCK_CELLS = 2**8

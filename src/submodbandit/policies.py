@@ -12,6 +12,8 @@ Each policy is one frozen dataclass that owns its whole protocol:
 * ``resolve(n, k, T) -> (l, m)`` -- the stop level and per-arm budget used at
   horizon T (None where the policy has none).  It raises ValueError before
   any pull.
+* ``program(n, k, T) -> (l, m, uniform)`` -- the phases that run; policies
+  with one program make the same run.
 * ``run_batch(envs, k, T)`` -- pull sets of size at most k for exactly T
   steps against every fresh :class:`~submodbandit.envs.BanditEnv` (a used one
   raises ValueError before any noise is drawn) of a batch that shares one
@@ -66,7 +68,9 @@ AUTO = "auto"
 
 
 class _Policy:
-    """JSON form, label default and field checks shared by the policies."""
+    """JSON form, label default, field checks and the run shared by the policies."""
+
+    uniform = False  # the greedy levels' sampling rule: uniform, else optimistic
 
     def __post_init__(self):
         m = getattr(self, "m", None)
@@ -103,6 +107,17 @@ class _Policy:
                 doc[f.name] = value
         return doc
 
+    def program(self, n: int, k: int, T: int) -> tuple[int, int | None, bool]:
+        """The phases of a run at horizon T: ``greedy_then_flat``'s (l, m,
+        uniform).  With no greedy level, m and the rule never enter the run,
+        so every l = 0 run is the program (0, None, False)."""
+        l, m = self.resolve(n, k, T)
+        l = k if self.uniform else l or 0  # etcg fixes all k levels, ucb_all none
+        return (l, m, self.uniform) if l else (0, None, False)
+
+    def run_batch(self, envs: list[BanditEnv], k: int, T: int) -> list[list[ItemSet]]:
+        return greedy_then_flat(envs, k, T, *self.program(envs[0].spec.n, k, T))
+
     def run(self, env: BanditEnv, k: int, T: int) -> list[ItemSet]:
         """Run one env: a batch of one."""
         return self.run_batch([env], k, T)[0]
@@ -119,9 +134,6 @@ class UcbAllPolicy(_Policy):
     def resolve(self, n: int, k: int, T: int) -> tuple[None, None]:
         return None, None
 
-    def run_batch(self, envs: list[BanditEnv], k: int, T: int) -> list[list[ItemSet]]:
-        return greedy_then_flat(envs, k, T, 0, None, uniform=False)
-
 
 @dataclass(frozen=True)
 class EtcgPolicy(_Policy):
@@ -131,13 +143,10 @@ class EtcgPolicy(_Policy):
     label: str | None = None
 
     kind = "etcg"
+    uniform = True
 
     def resolve(self, n: int, k: int, T: int) -> tuple[None, int]:
         return None, self.m or default_m(T, n)
-
-    def run_batch(self, envs: list[BanditEnv], k: int, T: int) -> list[list[ItemSet]]:
-        _, m = self.resolve(envs[0].spec.n, k, T)
-        return greedy_then_flat(envs, k, T, k, m, uniform=True)
 
 
 @dataclass(frozen=True)
@@ -173,10 +182,6 @@ class SubUcbPolicy(_Policy):
         if not 0 <= l <= k:
             raise ValueError(f"stop level {l} outside [0, {k}]")
         return l, self.m or default_m(T, n)
-
-    def run_batch(self, envs: list[BanditEnv], k: int, T: int) -> list[list[ItemSet]]:
-        l, m = self.resolve(envs[0].spec.n, k, T)
-        return greedy_then_flat(envs, k, T, l, m, uniform=False)
 
 
 Policy = SubUcbPolicy | EtcgPolicy | UcbAllPolicy

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import random_monotone_submodular
 from submodbandit import experiments, lockstep, tabular_from_spec
-from submodbandit.analysis import benchmark_summary
+from submodbandit.analysis import benchmark_summary, regret_report
 from submodbandit.catalog import experiment_cover, harmonic_base, harmonic_elevated
+from submodbandit.envs import BanditEnv
 from submodbandit.errors import ConfigError, GroundSetTooLarge, RecordTooLarge
 from submodbandit.experiments import (
     checkpoint_grid,
@@ -188,6 +189,96 @@ def test_row_cap_splits_groups_without_changing_results(tmp_path, monkeypatch):
     split = run_experiment(cfg, output_dir=tmp_path / "split")
     assert batches == [2, 2, 1] * 4 + [1] * 10
     for a, b in zip(whole, split):
+        assert a.read_bytes() == b.read_bytes()
+
+
+# on harmonic_base(6, 2) the first three run one program (l = 0: "auto"
+# resolves to 0 at these horizons, and m never enters a flat run), and so do
+# "a" and "b"; the others each have one of their own
+_SHARED_PROGRAMS = [
+    {"kind": "sub_ucb", "l": "auto"},
+    {"kind": "sub_ucb", "l": 0, "m": 3},
+    {"kind": "ucb_all"},
+    {"kind": "sub_ucb", "l": 1, "m": 2, "label": "a"},
+    {"kind": "sub_ucb", "l": 1, "m": 2, "label": "b"},
+    {"kind": "sub_ucb", "l": 1, "m": 3, "label": "l1_m3"},
+    {"kind": "etcg", "m": 2},
+    {"kind": "sub_ucb", "l": 2, "m": 2},
+]
+
+
+def _cell_seeds(doc):
+    return {
+        derive_seed(doc["base_seed"], p_idx, T, trial): (p_idx, trial)
+        for p_idx in range(len(doc["policies"]))
+        for T in doc["T_grid"]
+        for trial in range(doc["trials"])
+    }
+
+
+def test_policies_with_one_program_share_a_batch_and_keep_their_solo_lines(
+    tmp_path, monkeypatch
+):
+    doc = _base_doc(T_grid=[16, 40], trials=3, policies=_SHARED_PROGRAMS)
+    cfg = config_from_json(doc)
+    seeds = _cell_seeds(doc)
+    batches = []
+    run = experiments.greedy_then_flat
+
+    def spy(envs, k, T, *program):
+        batches.append((T, [seeds[env.seed] for env in envs]))
+        return run(envs, k, T, *program)
+
+    monkeypatch.setattr(experiments, "greedy_then_flat", spy)
+    results, manifest = run_experiment(cfg, output_dir=tmp_path / "one")
+    monkeypatch.undo()
+    # each batch: every trial of its members, the members in grid order
+    for T in (16, 40):
+        assert [cells for t, cells in batches if t == T] == [
+            [(p, trial) for p in members for trial in range(3)]
+            for members in ([0, 1, 2], [3, 4], [5], [6], [7])
+        ]
+
+    # every member's lines are those of its own solo batch with the same seeds
+    summary = benchmark_summary(cfg.function, cfg.k)
+    expected = []
+    for p_idx, policy in enumerate(cfg.policies):
+        for T in (16, 40):
+            envs = [
+                BanditEnv(cfg.function, 1.0, derive_seed(7, p_idx, T, trial)) for trial in range(3)
+            ]
+            policy.run_batch(envs, cfg.k, T)
+            for trial, env in enumerate(envs):
+                for row in regret_report(env, summary, checkpoint_grid("log", T)).checkpoints:
+                    expected.append(
+                        f"{policy.label},{T},{trial},{env.seed},{row.t},"
+                        f"{row.cum_reward:.17g},{row.regret_opt:.17g},"
+                        f"{row.regret_alpha:.17g},{row.regret_gr:.17g}"
+                    )
+    assert results.read_text().splitlines()[1:] == expected
+
+    again = run_experiment(cfg, jobs=3, output_dir=tmp_path / "three")
+    for a, b in zip((results, manifest), again):
+        assert a.read_bytes() == b.read_bytes()
+
+
+def test_record_budget_packs_a_programs_policies_into_groups(tmp_path, monkeypatch):
+    doc = _base_doc(T_grid=[40], trials=3, policies=_SHARED_PROGRAMS[:3])
+    cfg = config_from_json(doc)
+    whole = run_experiment(cfg, output_dir=tmp_path / "whole")
+    seeds = _cell_seeds(doc)
+    batches = []
+    run = experiments.greedy_then_flat
+
+    def spy(envs, *args):
+        batches.append(sorted({seeds[env.seed][0] for env in envs}))
+        return run(envs, *args)
+
+    monkeypatch.setattr(experiments, "greedy_then_flat", spy)
+    monkeypatch.setattr(experiments, "MAX_RECORD_STEPS", 2 * 3 * 40)
+    packed = run_experiment(cfg, output_dir=tmp_path / "packed")
+    assert batches == [[0, 1], [2]]
+    for a, b in zip(whole, packed):
         assert a.read_bytes() == b.read_bytes()
 
 

@@ -127,6 +127,27 @@ def test_sub_ucb_invalid_stop_level():
         SubUcbPolicy(l=-1).resolve(6, 2, 10)
 
 
+def test_program_is_the_phases_a_run_takes():
+    # auto resolves to l = 0 on cover15 at T = 10^4; with no greedy level,
+    # m and the sampling rule never enter the run
+    flat = (0, None, False)
+    assert SubUcbPolicy().program(15, 4, 10**4) == flat
+    assert SubUcbPolicy(l=0, m=7).program(15, 4, 100) == flat
+    assert UcbAllPolicy().program(15, 4, 1) == flat
+    assert SubUcbPolicy().program(15, 4, 100) == (1, default_m(100, 15), False)
+    assert SubUcbPolicy(l=4, m=2).program(15, 4, 100) == (4, 2, False)
+    assert EtcgPolicy(m=2).program(15, 4, 100) == (4, 2, True)
+    assert EtcgPolicy().program(15, 4, 100) == (4, default_m(100, 15), True)
+    # the same ValueErrors as resolve: a stop level outside [0, k], and a
+    # default m at T = 1, even where the run would not use it
+    with pytest.raises(ValueError, match=r"stop level 3 outside \[0, 2\]"):
+        SubUcbPolicy(l=3).program(6, 2, 10)
+    for policy in (EtcgPolicy(), SubUcbPolicy(l=1), SubUcbPolicy(l=0)):
+        with pytest.raises(ValueError, match="need T >= 2"):
+            policy.program(6, 2, 1)
+    assert SubUcbPolicy(l=0, m=1).program(6, 2, 1) == flat
+
+
 def test_sub_ucb_full_stop_level_commits():
     spec = harmonic_base(6, 2)
     env = _fresh(spec, 0.0, 2)
