@@ -25,7 +25,7 @@ from .envs import BanditEnv
 from .functions import SetFunction
 from .greedy import GreedyChain, brute_force_opt, greedy_benchmark
 from .sets import ItemSet
-from .structure import approx_ratio, curvature
+from .structure import FeasibleTable, approx_ratio, curvature
 
 
 def i_star(n: int, k: int, T: int) -> int:
@@ -172,15 +172,53 @@ class RegretReport:
     checkpoints: tuple[CheckpointRow, ...]
 
 
+class RegretMeter:
+    """The checkpoint rows of a run's pseudo-regret against ``summary``, fed
+    the true values of its pulls in order, in pieces of any length.  The
+    cumulative value is one running sum from 0.0, which ``np.cumsum`` adds in
+    sequence, so no cut changes a bit.  With ``extend`` and ``len`` it stands
+    in for an env's trajectory, which a lockstep run feeds chunk by chunk."""
+
+    def __init__(self, summary: BenchmarkSummary, checkpoints: Iterable[int]):
+        self.summary, self.todo = summary, sorted(set(checkpoints), reverse=True)
+        self.rows: list[CheckpointRow] = []
+        self.t, self.cum = 0, 0.0
+
+    def __len__(self) -> int:
+        return self.t
+
+    def extend(self, table: FeasibleTable, codes: np.ndarray, rewards: np.ndarray) -> None:
+        """Meter a chunk of a run coded as ranks of ``table``; the rewards are not read."""
+        self.add(table.values[codes])
+
+    def add(self, values: np.ndarray) -> None:
+        """Meter the next pulls, worth ``values``."""
+        cums = np.concatenate(([self.cum], values))
+        np.cumsum(cums, out=cums)
+        start, self.t, self.cum = self.t, self.t + len(values), float(cums[-1])
+        s = self.summary
+        while self.todo and self.todo[-1] <= self.t:
+            t = self.todo.pop()
+            cum = float(cums[t - start])
+            self.rows.append(
+                CheckpointRow(
+                    t=t,
+                    cum_reward=cum,
+                    regret_opt=t * s.f_star - cum,
+                    regret_alpha=t * s.alpha * s.f_star - cum,
+                    regret_gr=t * s.benchmark - cum,
+                )
+            )
+
+
 def regret_report(
     env: BanditEnv, summary: BenchmarkSummary, checkpoints: Iterable[int]
 ) -> RegretReport:
     """Pseudo-regret of ``env``'s trajectory against the optimum, its
-    ratio-scaled value and B, all taken from ``summary``.
-
-    Pulled values come from the trajectory, which holds the true value of
-    every set it pulled; the spec is not evaluated.  The cumulative value is
-    a running sum from 0.0, left to right.
+    ratio-scaled value and B, all taken from ``summary``, by a
+    :class:`RegretMeter` fed the trajectory's values in one piece.  Pulled
+    values come from the trajectory, which holds the true value of every
+    set it pulled; the spec is not evaluated.
     """
     traj = env.trajectory
     cps = sorted(set(int(t) for t in checkpoints))
@@ -188,24 +226,13 @@ def regret_report(
         raise ValueError(
             f"checkpoints must lie in [1, {len(traj)}]; got {cps[0]}..{cps[-1]}"
         )
-    cums = np.cumsum(np.concatenate(([0.0], traj.values())))
-    rows = []
-    for t in cps:
-        cum = float(cums[t])
-        rows.append(
-            CheckpointRow(
-                t=t,
-                cum_reward=cum,
-                regret_opt=t * summary.f_star - cum,
-                regret_alpha=t * summary.alpha * summary.f_star - cum,
-                regret_gr=t * summary.benchmark - cum,
-            )
-        )
+    meter = RegretMeter(summary, cps)
+    meter.add(traj.values())
     return RegretReport(
         f_star=summary.f_star,
         alpha=summary.alpha,
         benchmark=summary.benchmark,
-        checkpoints=tuple(rows),
+        checkpoints=tuple(meter.rows),
     )
 
 

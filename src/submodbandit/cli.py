@@ -16,9 +16,8 @@ Subcommands:
 * ``instance TARGET``   -- dump the full value table of a spec as CSV.
 
 Exit codes: 0 success, 1 verification failure, 2 input error (any
-ValueError, of which ConfigError is one), 3 resource guard (GroundSetTooLarge
-or RecordTooLarge: the feasible sets times n, or a run's trials times T,
-over budget).
+ValueError, of which ConfigError is one), 3 resource guard (GroundSetTooLarge:
+the feasible sets times n over budget).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from pathlib import Path
 
 from .analysis import compute_bounds
 from .catalog import builtin_instances
-from .errors import ConfigError, GroundSetTooLarge, RecordTooLarge
+from .errors import ConfigError, GroundSetTooLarge
 from .experiments import load_config, read_json, run_experiment
 from .functions import SetFunction, is_int, spec_from_json
 from .sets import render_mask
@@ -179,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (GroundSetTooLarge, RecordTooLarge) as exc:
+    except GroundSetTooLarge as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

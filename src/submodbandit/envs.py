@@ -4,10 +4,11 @@ A :class:`BanditEnv` owns one seeded Gaussian noise stream and records every
 pull with the pulled set's true value.  Identical (spec, sigma, seed) and
 identical pull sequences produce bit-identical reward sequences.  A single
 pull (``pull``) and a policy run, which the lockstep engine draws in blocks
-(``fill_noise``) and records once on a fresh env (``Trajectory.extend``),
-read that stream alike, one value per pull in pull order: the generator's
-normal stream does not depend on how the draws are chunked.  Rewards are
-*not* clipped: the mean lies in [0, 1] but observations may leave it.
+(``fill_noise``) and hands to the env's record chunk by chunk
+(``trajectory.extend``), read that stream alike, one value per pull in pull
+order: the generator's normal stream does not depend on how the draws are
+chunked.  Rewards are *not* clipped: the mean lies in [0, 1] but
+observations may leave it.
 """
 
 from __future__ import annotations
@@ -15,75 +16,70 @@ from __future__ import annotations
 import csv
 import io
 import math
-from array import array
 from collections import Counter
 
 import numpy as np
 
 from .functions import SetFunction
 from .sets import ItemSet, render_mask
+from .structure import FeasibleTable
 
 
 class Trajectory:
     """Time-ordered record of pulled sets, their true values and the rewards.
 
-    The record is compact: ``_table`` lists masks and ``_values`` their true
-    values, one float per table entry, and the first ``_len`` entries of
-    ``_codes`` (integers) and ``_rewards`` (float64) hold each step's position
-    in the table and its reward; the arrays may have spare capacity.
-    ``append`` adds one step; ``extend`` records a whole policy run on a
-    fresh (empty) trajectory, without a Python object per step.
-    ``to_csv`` writes the sets and rewards; the CSV form holds no values, so
-    it is write-only.
+    The record is compact: ``_masks`` lists sets and ``_values`` their true
+    values, and the first ``_len`` entries of ``_codes`` and ``_rewards``
+    hold each step's position in that table and its reward.  ``extend``
+    appends a chunk of a run coded as ranks of its feasible-set table, which
+    an empty trajectory takes by reference; ``append`` adds one pull, and
+    first copies such a table into a list of its own.  ``to_csv`` writes the
+    sets and rewards; the CSV form holds no values, so it is write-only.
     """
 
-    __slots__ = ("_table", "_values", "_codes", "_rewards", "_len")
+    __slots__ = ("_masks", "_values", "_codes", "_rewards", "_len")
 
     def __init__(self):
-        self._table: list[int] = []
-        self._values = array("d")
+        self._masks: list[int] | tuple[int, ...] = []
+        self._values: list[float] | np.ndarray = []
         self._codes = np.empty(0, np.int32)
         self._rewards = np.empty(0)
         self._len = 0
 
-    def _reserve(self, extra: int) -> None:
-        need = self._len + extra
-        if need > self._codes.size:
-            size = max(need, 2 * self._codes.size, 64)
-            codes, rewards = np.empty(size, np.int32), np.empty(size)
-            codes[: self._len] = self._codes[: self._len]
-            rewards[: self._len] = self._rewards[: self._len]
-            self._codes, self._rewards = codes, rewards
+    def _store(self, codes, rewards) -> None:
+        """Append steps coded in the current table; the arrays grow by doubling."""
+        end = self._len + len(codes)
+        if end > self._codes.size:
+            size = max(end, 2 * self._codes.size, 64)
+            self._codes, self._rewards = np.resize(self._codes, size), np.resize(self._rewards, size)
+        self._codes[self._len : end] = codes
+        self._rewards[self._len : end] = rewards
+        self._len = end
 
     def append(self, mask: int, value: float, reward: float) -> None:
         """Append one step: the set ``mask``, worth ``value``, observed ``reward``."""
-        self._reserve(1)
-        self._codes[self._len] = len(self._table)
-        self._rewards[self._len] = reward
-        self._table.append(mask)
+        if isinstance(self._values, np.ndarray):  # a run's table: add to a copy of it
+            self._masks, self._values = list(self._masks), self._values.tolist()
+        self._masks.append(mask)
         self._values.append(value)
-        self._len += 1
+        self._store([len(self._masks) - 1], [reward])
 
-    def extend(
-        self, table: list[int], values: np.ndarray, codes: np.ndarray, rewards: np.ndarray
-    ) -> None:
-        """Record a whole run on an empty trajectory, one step per code: step i
-        pulled ``table[codes[i]]``, worth ``values[codes[i]]``, and observed
-        ``rewards[i]``.  The code and reward arrays are kept without copying,
-        so the caller must not write to them after.  ValueError on a
-        trajectory that already has steps."""
-        if self._len:
-            raise ValueError(f"extend needs an empty trajectory; this one has {self._len} steps")
-        self._codes, self._rewards = np.asarray(codes), np.asarray(rewards, np.float64)
-        self._table = list(table)
-        self._values = array("d", np.asarray(values, np.float64).tobytes())
-        self._len = self._codes.size
+    def extend(self, table: FeasibleTable, codes: np.ndarray, rewards: np.ndarray) -> None:
+        """Append one chunk of a run, one step per code: step i pulled the set
+        of rank ``codes[i]`` in ``table`` and observed ``rewards[i]``; both
+        arrays are copied.  ValueError if the trajectory's earlier steps are
+        coded in any other table."""
+        if not self._len:
+            self._masks, self._values = table.masks, table.values
+        elif self._masks is not table.masks:
+            raise ValueError("extend needs the table of the trajectory's earlier steps")
+        self._store(codes, rewards)
 
     def __len__(self) -> int:
         return self._len
 
     def masks(self) -> list[int]:
-        table = self._table
+        table = self._masks
         return [table[c] for c in self._codes[: self._len].tolist()]
 
     def rewards(self) -> list[float]:
@@ -91,7 +87,7 @@ class Trajectory:
 
     def values(self) -> np.ndarray:
         """The true value of every step's set, as a float64 array."""
-        return np.frombuffer(self._values)[self._codes[: self._len]]
+        return np.asarray(self._values, np.float64)[self._codes[: self._len]]
 
     def mask_counts(self) -> Counter[int]:
         """Pulls per mask, keyed in order of first pull."""
@@ -101,7 +97,7 @@ class Trajectory:
         order = np.argsort(first)
         out: Counter[int] = Counter()
         for code, count in zip(used[order].tolist(), counts[order].tolist()):
-            out[self._table[code]] += count
+            out[self._masks[code]] += count
         return out
 
     def steps(self):

@@ -4,8 +4,8 @@ A refused input raises ``ValueError``: an item outside the ground set, a
 set or k above a spec's ``k_max``, a bad sigma, stop level or checkpoint,
 a closed form outside its domain.  ``ConfigError`` is the ``ValueError``
 that names a config or file field.  The CLI maps every ``ValueError`` to
-exit code 2, and the two resource guards, ``GroundSetTooLarge`` and
-``RecordTooLarge``, to exit code 3.
+exit code 2, and the one resource guard, ``GroundSetTooLarge``, to exit
+code 3.
 """
 
 
@@ -19,8 +19,3 @@ class ConfigError(SubmodBanditError, ValueError):
 
 class GroundSetTooLarge(SubmodBanditError):
     """The feasible sets (size <= k) times n exceed the exhaustive table's budget."""
-
-
-class RecordTooLarge(SubmodBanditError):
-    """One policy's step record (trials times the longest T) exceeds the budget
-    of a group, one batch per (horizon, program): T and phases (l, m, rule)."""

@@ -7,8 +7,9 @@ requested checkpoints against the exact benchmarks, which the run computes
 once and hands to every cell.  A policy's program at T is the phases it
 runs, ``greedy_then_flat``'s (l, m, uniform) (``Policy.program``); there is
 one lockstep batch per (horizon, program), the trials of its policies end to
-end in grid order, and each trial's trajectory is the one it would have
-alone.  Groups are independent, so they may be executed in any order or in
+end in grid order, and each trial's pulls are the ones it would make alone;
+each env's record is an ``analysis.RegretMeter``, which keeps no step.
+Groups are independent, so they may be executed in any order or in
 parallel (``jobs`` worker processes, one group at a time each); results are
 merged in (policy, T, trial, checkpoint) order and written with 17
 significant digits, which makes results.csv byte-identical across runs and
@@ -24,18 +25,13 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
-from .analysis import benchmark_summary, regret_report
+from .analysis import RegretMeter, benchmark_summary
 from .envs import BanditEnv
-from .errors import ConfigError, RecordTooLarge
+from .errors import ConfigError
 from .functions import SetFunction, is_finite_number, is_int, spec_from_json
 from .lockstep import greedy_then_flat
 from .policies import Policy, policy_from_json
 from .svgplot import RESULTS_HEADER
-
-# envs times T of one group, one batch per (horizon, program): the steps its
-# lockstep record holds at once, about 12 bytes each, so 1.6 GB.  A program's
-# policies fill its groups in grid order, each as full as this allows
-MAX_RECORD_STEPS = 2**27
 
 
 @dataclass(frozen=True)
@@ -74,7 +70,7 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     A key that is not one of the config's fields is rejected.  Every scalar
     must have its JSON type (integers are never bools, floats or strings),
     and every policy is resolved at every horizon, so a config that passes
-    here cannot fail later on its own values.  Only the resource guards are
+    here cannot fail later on its own values.  Only the resource guard is
     left to ``run_experiment``.
     """
     if not isinstance(doc, dict):
@@ -210,19 +206,23 @@ def checkpoint_grid(checkpoints: str | tuple[int, ...], T: int) -> tuple[int, ..
 
 def _run_group(group: tuple) -> dict[tuple[int, int], list[str]]:
     """Worker: one batch per (horizon, program), every trial of its members
-    (policies with that program at T) in lockstep; returns each member's CSV
-    lines in (trial, checkpoint) order, keyed by (policy index, T)."""
+    (policies with that program at T) in lockstep, each metered as it runs;
+    returns each member's CSV lines in (trial, checkpoint) order, keyed by
+    (policy index, T)."""
     spec, summary, k, sigma, T, program, members = group
     envs = [[BanditEnv(spec, sigma, seed) for seed in seeds] for _, _, seeds, _ in members]
+    for (_, _, _, cps), batch in zip(members, envs):
+        for env in batch:
+            env.trajectory = RegretMeter(summary, cps)
     greedy_then_flat([env for batch in envs for env in batch], k, T, *program)
     cells = {}
-    for (p_idx, policy, seeds, cps), batch in zip(members, envs):
+    for (p_idx, policy, seeds, _), batch in zip(members, envs):
         cells[p_idx, T] = [
             f"{policy.label},{T},{trial},{seed},{row.t},"
             f"{row.cum_reward:.17g},{row.regret_opt:.17g},"
             f"{row.regret_alpha:.17g},{row.regret_gr:.17g}"
             for trial, (seed, env) in enumerate(zip(seeds, batch))
-            for row in regret_report(env, summary, cps).checkpoints
+            for row in env.trajectory.rows
         ]
     return cells
 
@@ -234,11 +234,11 @@ def run_experiment(
 
     ``jobs`` is the number of worker processes, one (horizon, program) group
     at a time each; 1 runs serially.  Returns (results_path, manifest_path).
-    Raises ValueError on a ``jobs`` below 1, and RecordTooLarge (trials times
-    the longest T over MAX_RECORD_STEPS) or GroundSetTooLarge (the feasible
-    sets times n over the exact table's budget) before any cell runs or any
-    file is written; the output directory is made after those guards and
-    before the first cell, and ConfigError names it if it cannot be made.
+    Raises ValueError on a ``jobs`` below 1, and GroundSetTooLarge (the
+    feasible sets times n over the exact table's budget) before any cell
+    runs or any file is written; the output directory is made after that
+    guard and before the first cell, and ConfigError names it if it cannot
+    be made.
     """
     if not is_int(jobs) or jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1; got {jobs!r}")
@@ -250,20 +250,16 @@ def run_experiment(
         for p_idx, policy in enumerate(config.policies)
         for T in sorted(config.T_grid)
     ]
-    # the resource guards, before any value is computed: the longest group's
-    # step record, and the feasible-set budget of the exact benchmarks
-    steps = config.trials * max(config.T_grid)
-    if steps > MAX_RECORD_STEPS:
-        raise RecordTooLarge(f"trials times T is {steps:,} steps, over {MAX_RECORD_STEPS:,}")
+    # the resource guard, the feasible-set budget of the exact benchmarks,
+    # before any value is computed
     summary = benchmark_summary(config.function, config.k)
-    packed = {}  # (T, program) -> its groups of (policy index, policy, seeds, checkpoints)
+    members = {}  # (T, program) -> its (policy index, policy, seeds, checkpoints)
     manifest_cells = []
     for p_idx, policy, T, l, m in grid:
         seeds = [derive_seed(config.base_seed, p_idx, T, trial) for trial in range(config.trials)]
-        packs = packed.setdefault((T, policy.program(config.n, config.k, T)), [[]])
-        if (len(packs[-1]) + 1) * config.trials * T > MAX_RECORD_STEPS:
-            packs.append([])
-        packs[-1].append((p_idx, policy, seeds, checkpoint_grid(config.checkpoints, T)))
+        members.setdefault((T, policy.program(config.n, config.k, T)), []).append(
+            (p_idx, policy, seeds, checkpoint_grid(config.checkpoints, T))
+        )
         for trial, seed in enumerate(seeds):
             manifest_cells.append(
                 {
@@ -282,9 +278,8 @@ def run_experiment(
     except OSError as exc:
         raise ConfigError(f"output_dir '{out}': {exc}") from exc
     groups = [
-        (config.function, summary, config.k, config.sigma, T, program, members)
-        for (T, program), packs in packed.items()
-        for members in packs
+        (config.function, summary, config.k, config.sigma, T, program, group)
+        for (T, program), group in members.items()
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -5,19 +5,23 @@
 optimistic rule, then the flat phase) on a batch of fresh envs (none has
 pulled yet) that share one spec and sigma, so every run starts at t = 0.
 Arms are ranks of the spec's feasible-set table (``structure.value_table``),
-taken once before any noise is drawn: a phase's arms and their true values
-are gathers over it, and each env's trajectory is written once, at the end,
-with those values, so a run never evaluates the spec.  Every env pulls once
-per step, so t and ln t are shared, and the state is one (envs x arms)
-array each of values, counts, sums and means, padded with -inf means where
-a phase has fewer arms.  The envs differ only in which phase each is in.
-A stretch of steps in which every env follows a fixed schedule (the uniform
-samples, the first pull of each arm, or the one committed set) is pulled as
-one block; the other steps evaluate the index of every env at once.  Each
-env's trajectory, levels and rewards are those of the same env run alone,
-one pull at a time: noise comes from each env's own stream in the same
-order, the index uses the same elementwise operations, ``argmax`` keeps the
-first maximum, and sums add in pull order.
+taken once before any noise is drawn, and a pull's true value is a gather
+over it, so a run never evaluates the spec.  Every env pulls once per step,
+so t and ln t are shared, and the state is one (envs x arms) array each of
+ranks, counts, sums and means, padded with -inf means where a phase has
+fewer arms.  The envs differ only in which phase each is in.  A stretch of
+steps in which every env follows a fixed schedule (the uniform samples, the
+first pull of each arm, or the one committed set) is pulled as one block;
+the other steps evaluate the index of every env at once.  Each env's
+trajectory, levels and rewards are those of the same env run alone, one
+pull at a time: noise comes from each env's own stream in the same order,
+the index uses the same elementwise operations, ``argmax`` keeps the first
+maximum, and sums add in pull order.  Steps are recorded in chunks of
+``CHUNK_CELLS`` envs times steps, so memory does not grow with T: at a
+chunk's end each env gets its ranks and rewards through
+``env.trajectory.extend`` and the next chunk's noise is drawn.  Every
+choice is exact, so a chunk end that cuts a block or an index run changes
+no pull.
 
 On a wide batch (``WINDOW_CELLS`` or more envs times arms outside the
 window) the index steps run on a certified candidate window instead of
@@ -42,11 +46,13 @@ from .envs import BanditEnv
 from .sets import ItemSet
 from .structure import FeasibleTable, value_table
 
-# envs times arms of one lockstep batch (8 MB per state array); a group, one
-# per (horizon, program), over more cells runs as several, one after another
+# envs times arms of one lockstep batch (8 MB per state array); a run over
+# more cells steps its envs in several batches, one after another
 MAX_BATCH_CELLS = 2**20
 # envs times steps of one block of scheduled pulls, which bounds its temporaries
 BLOCK_CELLS = 2**8
+# envs times steps of one chunk of the step record (0.5 MB per record array)
+CHUNK_CELLS = 2**16
 # envs times arms outside a window from which index steps run on candidate
 # windows.  Below it a window's fixed numpy calls cost more than the dense
 # index they save: on cover15 (T = 4000, 2-CPU Xeon) one env over 1,365 arms
@@ -97,9 +103,9 @@ class Lockstep:
     its schedule a uniform level (``by_mean``) closes on the first maximum of
     the means; any other phase applies the index rule, and a greedy level
     closes when the index argmax has ``lim`` pulls.  A flat phase with one
-    arm is a schedule that repeats it until the budget ends.  Each step's
-    arm and reward go to ``codes`` and ``rewards`` (one row per env), and
-    ``segments`` records where each phase began, with its arms.
+    arm is a schedule that repeats it until the budget ends.  Each step from
+    ``begin`` to ``end`` puts its arm's rank and its reward in ``record``
+    and ``rewards`` (one row per env), which the envs get at ``end``.
     """
 
     def __init__(self, envs, table, k, T, l, m, uniform, width):
@@ -110,7 +116,7 @@ class Lockstep:
         rows = len(envs)
         self.envs = envs
         self.k, self.T, self.l, self.m, self.uniform = k, T, l, m, uniform
-        self.vals = np.zeros((rows, width))
+        self.ranks = np.zeros((rows, width), np.intp)
         self.counts = np.ones((rows, width))
         self.sums = np.zeros((rows, width))
         self.means = np.full((rows, width), -np.inf)
@@ -121,28 +127,24 @@ class Lockstep:
         # a window needs more arms per row than it keeps, and pays for
         # itself only when it leaves enough of them out
         self.windowed = width > WINDOW_ARMS and rows * (width - WINDOW_ARMS) >= WINDOW_CELLS
-        self.flat = [a.reshape(-1) for a in (self.vals, self.sums, self.counts, self.means)]
+        self.flat = [a.reshape(-1) for a in (self.ranks, self.sums, self.counts, self.means)]
         self.pos = np.zeros(rows, np.int64)
         self.slen = np.zeros(rows, np.int64)
         self.rep = np.ones(rows, np.int64)
         self.lim = np.full(rows, math.inf)
         self.by_mean = np.zeros(rows, bool)
-        # the step records.  A code is an arm's position in its phase, then in
-        # the env's table, the arms of its at most l + 1 phases end to end; a
-        # reward starts as sigma times the env's noise for that step
-        self.codes = np.zeros((rows, T), np.min_scalar_type((l + 1) * width))
-        self.rewards = np.empty((rows, T))
-        for env, noise in zip(envs, self.rewards):
-            env.fill_noise(noise)
-        self.rewards *= sigma
+        # the record of the steps begin .. end - 1, one column each: the
+        # rank pulled, and a reward that starts as sigma times the noise
+        self.record = np.empty((rows, max(1, CHUNK_CELLS // rows)), np.intp)
+        self.rewards = np.empty(self.record.shape)
+        self.sigma, self.begin, self.end = sigma, 0, 0
         self.bases = [0] * rows  # rank 0 is the empty set
         self.levels: list[list[ItemSet]] = [[] for _ in envs]
-        self.segments: list[list[tuple[int, np.ndarray]]] = [[] for _ in envs]
         # the arms of each base's phase, shared by every row with that base
         self.phases: dict[int, np.ndarray] = {}
 
-    def _start(self, r: int, s: int) -> None:
-        """Begin row r's next phase, whose first pull is step s."""
+    def _start(self, r: int) -> None:
+        """Begin row r's next phase."""
         level = len(self.levels[r])
         greedy = level < self.l
         base = self.bases[r]
@@ -156,7 +158,7 @@ class Lockstep:
             rep, lim = self.T, math.inf
         else:
             rep, lim = 1, math.inf
-        self.vals[r, :size] = self.table.values[arms]
+        self.ranks[r, :size] = arms
         # cells past the phase's arms keep mean -inf and one pull: their
         # index is -inf (never NaN), which the argmax never picks
         self.counts[r] = 1.0
@@ -166,14 +168,13 @@ class Lockstep:
         self.means[r, :size] = 0.0
         self.pos[r], self.slen[r], self.rep[r] = 0, size * rep, rep
         self.lim[r], self.by_mean[r] = lim, greedy and self.uniform
-        self.segments[r].append((s, arms))
 
     def _close(self, r: int, j: int, s: int) -> None:
         """Fix row r's level at its arm j; its next phase starts at step s."""
         self.bases[r] = int(self.phases[self.bases[r]][j])
         self.levels[r].append(ItemSet(self.table.masks[self.bases[r]]))
         if s < self.T:
-            self._start(r, s)
+            self._start(r)
         else:  # budget spent: the row only waits for the others' last closes
             self.lim[r], self.by_mean[r] = math.inf, False
 
@@ -223,19 +224,20 @@ class Lockstep:
 
     def _pull(self, t: int, cells: np.ndarray) -> None:
         """Pull ``cells[r, i]`` in row r at step t + i, for every row."""
-        run = cells.shape[1]
+        steps = slice(t - self.begin, t - self.begin + cells.shape[1])
         flat = self.row0[:, None] + cells
-        vals, sums, counts, means = self.flat
-        rewards = self.rewards[:, t : t + run]
-        rewards += vals[flat]
-        self.codes[:, t : t + run] = cells
+        ranks, sums, counts, means = self.flat
+        rank = ranks[flat]
+        self.record[:, steps] = rank
+        rewards = self.rewards[:, steps]
+        rewards += self.table.values[rank]
         np.add.at(sums, flat, rewards)  # in pull order, as a running sum
         np.add.at(counts, flat, 1.0)
         means[flat] = sums[flat] / counts[flat]
 
     def run(self) -> list[list[ItemSet]]:
         for r in range(len(self.envs)):
-            self._start(r, 0)
+            self._start(r)
         t = 0
         while True:
             # the closes due at t: uniform levels whose m samples per arm are all
@@ -253,11 +255,13 @@ class Lockstep:
                     self._close(r, int(j[r]), t)
                 if closing.size:
                     sched = self.pos < self.slen
-            if t >= self.T:
-                break
+            if t == self.end:  # the chunk is full, or the budget spent
+                self._record(t)
+                if t == self.T:
+                    return self.levels
             if sched.all():
                 run = min(
-                    self.T - t,
+                    self.end - t,
                     int((self.slen - self.pos).min()),
                     max(1, BLOCK_CELLS // len(self.envs)),
                 )
@@ -267,29 +271,41 @@ class Lockstep:
                 t += run
             else:
                 t = self._steps(t, sched, j)
-        # the per-arm state is done with: free it before the records are compacted
-        del self.vals, self.counts, self.sums, self.means, self.buf, self.flat
-        return self._finish()
+
+    def _record(self, t: int) -> None:
+        """Hand every env its steps of the chunk that ends at step t, and
+        draw the noise of the next chunk, which begins there."""
+        done = t - self.begin
+        for env, ranks, rewards in zip(self.envs, self.record, self.rewards):
+            env.trajectory.extend(self.table, ranks[:done], rewards[:done])
+        self.begin, self.end = t, min(self.T, t + self.record.shape[1])
+        # only the cells the chunk fills: the rest may hold anything, even inf
+        noise = self.rewards[:, : self.end - t]
+        for env, row in zip(self.envs, noise):
+            env.fill_noise(row)
+        noise *= self.sigma
 
     def _steps(self, t: int, sched: np.ndarray, j: np.ndarray) -> int:
         """Single steps from t, the first on the index argmax j, while the
         rows past their schedules apply the index rule: stop before a level
-        closes, or when a schedule or the budget ends; return the t reached.
+        closes, or when a schedule or the chunk ends; return the t reached.
         The rows in a schedule stay in it throughout, so the only arms a
         free row pulls are its argmaxes: a window's candidates."""
         free = ~sched
         every = not sched.any()
-        stop = self.T if every else min(self.T, t + int((self.slen - self.pos)[sched].min()))
+        stop = self.end if every else min(self.end, t + int((self.slen - self.pos)[sched].min()))
         closable = bool((free & (self.lim < math.inf)).any())
-        vals, sums, counts, means = self.flat
+        ranks, sums, counts, means = self.flat
+        values = self.table.values
         window, end = None, t  # a candidate window serves the steps before end
         with np.errstate(divide="ignore", invalid="ignore"):
             while True:
                 cells = j if every else np.where(sched, self.pos // self.rep, j)
                 flat = self.row0 + cells
-                rewards = self.rewards[:, t]
-                rewards += vals[flat]
-                self.codes[:, t] = cells
+                rank = ranks[flat]
+                self.record[:, t - self.begin] = rank
+                rewards = self.rewards[:, t - self.begin]
+                rewards += values[rank]
                 # one cell per row, so plain indexed updates add in pull order
                 total, pulls = sums[flat] + rewards, counts[flat] + 1.0
                 sums[flat], counts[flat], means[flat] = total, pulls, total / pulls
@@ -311,20 +327,3 @@ class Lockstep:
     def _pulls_of(self, j: np.ndarray) -> np.ndarray:
         """Each row's pulls of its cell j."""
         return self.flat[2][self.row0 + j]
-
-    def _finish(self) -> list[list[ItemSet]]:
-        """Hand each env its trajectory: its phases' arms, with their true values."""
-        for env, codes, rewards, segments in zip(
-            self.envs, self.codes, self.rewards, self.segments
-        ):
-            # the table is the phases' arms end to end: shift each later
-            # phase's codes past the arms of the phases before it.  Every
-            # code fits the dtype; the add runs in int64, whose loop the
-            # engine already uses (a small-int one adds 0.2 MB of peak RSS)
-            for (_, arms), (later, _) in zip(segments, segments[1:]):
-                shifted = codes[later:]
-                np.add(shifted, arms.size, out=shifted, dtype=np.int64, casting="unsafe")
-            ranks = np.concatenate([arms for _, arms in segments])
-            table = [self.table.masks[r] for r in ranks.tolist()]
-            env.trajectory.extend(table, self.table.values[ranks], codes, rewards)
-        return self.levels

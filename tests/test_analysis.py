@@ -2,8 +2,9 @@ import copy
 import math
 import pickle
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_monotone_submodular
@@ -23,6 +24,7 @@ from submodbandit import (
     regret_report,
     subucb_regret_bound,
 )
+from submodbandit.analysis import RegretMeter
 from submodbandit.catalog import harmonic_base, harmonic_elevated
 
 
@@ -148,6 +150,34 @@ def test_regret_report_empty_checkpoints_and_errors():
         regret_report(env, summary, [2])
     with pytest.raises(ValueError, match=r"checkpoints must lie in \[1, 1\]; got 0\.\.0"):
         regret_report(env, summary, [0])
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.floats(-1e3, 1e3, allow_nan=False) | st.floats(-1e-9, 1e-9), max_size=60),
+    st.data(),
+)
+def test_regret_meter_cut_anywhere_equals_one_piece(values, data):
+    # the running sum carries across pieces, so every checkpoint row is the
+    # same bit for bit however the values are cut
+    summary = benchmark_summary(harmonic_base(6, 2), 2)
+    values = np.array(values, dtype=float)
+    cps = range(1, len(values) + 1)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(values))), label="cuts"))
+    whole, pieces = RegretMeter(summary, cps), RegretMeter(summary, cps)
+    whole.add(values)
+    for a, b in zip([0] + cuts, cuts + [len(values)]):
+        pieces.add(values[a:b])
+
+    def bits(meter):
+        return [
+            (row.t, *(x.hex() for x in (row.cum_reward, row.regret_opt, row.regret_alpha, row.regret_gr)))
+            for row in meter.rows
+        ]
+
+    assert len(pieces) == len(whole) == len(values)
+    assert bits(pieces) == bits(whole)
+    assert [float(c).hex() for c in np.cumsum(values)] == [r[1] for r in bits(whole)]
 
 
 def test_kl_basics():

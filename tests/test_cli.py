@@ -484,20 +484,6 @@ def test_malformed_input_exits_2_in_a_fresh_interpreter(tmp_path, argv, fragment
     assert proc.stdout == ""
 
 
-def test_horizon_over_the_record_budget_exits_3_in_a_fresh_interpreter(tmp_path):
-    # 10^14 steps to record: refused by the resource guard before any cell
-    # runs or the output directory is made, with no traceback
-    config = _valid_run_config(tmp_path, T_grid=[10**14])
-    (tmp_path / "config.json").write_text(json.dumps(config))
-    proc = _run_without_cells(tmp_path, ["run", str(tmp_path / "config.json")])
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.startswith("resource guard:") and "trials times T" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert "a cell ran" not in proc.stderr
-    assert proc.stdout == ""
-    assert not (tmp_path / "out").exists()
-
-
 def test_bounds_at_large_k_answers_at_once_in_a_fresh_interpreter(tmp_path):
     # i_star at k = 10,000 walks up from i = 1 instead of cubing C(20000, i)
     # for every i from k down; the same call resolves a config's l: "auto"

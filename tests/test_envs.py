@@ -7,6 +7,7 @@ from collections import Counter
 
 from submodbandit import BanditEnv, HarmonicInstance, ItemSet, Trajectory, UcbAllPolicy, evaluate
 from submodbandit.catalog import experiment_cover
+from submodbandit.structure import value_table
 
 
 def test_constructor():
@@ -131,21 +132,34 @@ def test_noise_stream_does_not_depend_on_chunking(seed, runs):
 
 
 def test_trajectory_extend_appends_a_table_of_its_own():
-    # extend records a whole run on an empty trajectory over a table of its
-    # own; hand pulls append after it, and a second extend is refused
+    table = value_table(HarmonicInstance(6, 2, 1 / 32), 2)
+    masks, values = table.masks, table.values.tolist()
+    # chunks append on the run's table, which the trajectory shares; the
+    # caller's buffers are copied, so it may reuse them for its next chunk
     traj = Trajectory()
-    traj.extend([0b01, 0b10], [0.5, 0.25], np.array([1, 1, 0]), np.array([0.25, -1.0, 2.0]))
-    traj.append(0b10, 0.25, 3.0)
-    traj.append(0b11, 0.75, 0.5)
-    assert traj.masks() == [0b10, 0b10, 0b01, 0b10, 0b11] and len(traj) == 5
-    assert traj.values().tolist() == [0.25, 0.25, 0.5, 0.25, 0.75]
-    assert traj.rewards() == [0.25, -1.0, 2.0, 3.0, 0.5]
-    with pytest.raises(ValueError, match="empty trajectory"):
-        traj.extend([0b100], [0.125], np.zeros(2, np.int32), np.array([1.0, 2.0]))
-    assert len(traj) == 5 and traj.masks()[-1] == 0b11
-    # a run of no steps leaves the trajectory empty, so a run may still follow
+    ranks, rewards = np.array([3, 3, 0]), np.array([0.25, -1.0, 2.0])
+    traj.extend(table, ranks, rewards)
+    ranks[:], rewards[:] = 7, 9.0
+    traj.extend(table, ranks[:2], rewards[:2])
+    assert traj.masks() == [masks[3], masks[3], masks[0], masks[7], masks[7]]
+    assert traj.values().tolist() == [values[3], values[3], values[0], values[7], values[7]]
+    assert traj.rewards() == [0.25, -1.0, 2.0, 9.0, 9.0] and len(traj) == 5
+    # a pull after the run copies the table: the run's table is untouched,
+    # and a later chunk on it is refused
+    traj.append(0b111, 0.875, 0.5)
+    assert traj.masks()[-2:] == [masks[7], 0b111] and traj.values()[-1] == 0.875
+    assert table.masks is masks and table.values.tolist() == values
+    with pytest.raises(ValueError, match="table of the trajectory's earlier steps"):
+        traj.extend(table, np.zeros(1, np.intp), np.zeros(1))
+    # a chunk on a different table is refused
+    other = Trajectory()
+    other.extend(table, np.array([1]), np.array([0.5]))
+    with pytest.raises(ValueError, match="table of the trajectory's earlier steps"):
+        other.extend(value_table(HarmonicInstance(6, 2, 1 / 16), 2), np.array([1]), np.array([0.5]))
+    assert other.masks() == [masks[1]] and other.rewards() == [0.5]
+    # a chunk of no steps leaves the trajectory empty, so any run may follow
     gap = Trajectory()
-    gap.extend([0b1], [0.5], np.zeros(0, np.int32), np.zeros(0))
+    gap.extend(table, np.zeros(0, np.intp), np.zeros(0))
     assert len(gap) == 0
-    gap.extend([0b10], [0.25], np.zeros(2, np.int32), np.array([1.0, 2.0]))
-    assert gap.masks() == [0b10, 0b10] and gap.values().tolist() == [0.25, 0.25]
+    gap.append(0b1, 0.5, 1.0)
+    assert gap.masks() == [0b1] and gap.values().tolist() == [0.5]

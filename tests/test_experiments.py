@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from submodbandit import experiments, lockstep, tabular_from_spec
 from submodbandit.analysis import benchmark_summary, regret_report
 from submodbandit.catalog import experiment_cover, harmonic_base, harmonic_elevated
 from submodbandit.envs import BanditEnv
-from submodbandit.errors import ConfigError, GroundSetTooLarge, RecordTooLarge
+from submodbandit.errors import ConfigError, GroundSetTooLarge
 from submodbandit.experiments import (
     checkpoint_grid,
     config_from_json,
@@ -262,26 +263,6 @@ def test_policies_with_one_program_share_a_batch_and_keep_their_solo_lines(
         assert a.read_bytes() == b.read_bytes()
 
 
-def test_record_budget_packs_a_programs_policies_into_groups(tmp_path, monkeypatch):
-    doc = _base_doc(T_grid=[40], trials=3, policies=_SHARED_PROGRAMS[:3])
-    cfg = config_from_json(doc)
-    whole = run_experiment(cfg, output_dir=tmp_path / "whole")
-    seeds = _cell_seeds(doc)
-    batches = []
-    run = experiments.greedy_then_flat
-
-    def spy(envs, *args):
-        batches.append(sorted({seeds[env.seed][0] for env in envs}))
-        return run(envs, *args)
-
-    monkeypatch.setattr(experiments, "greedy_then_flat", spy)
-    monkeypatch.setattr(experiments, "MAX_RECORD_STEPS", 2 * 3 * 40)
-    packed = run_experiment(cfg, output_dir=tmp_path / "packed")
-    assert batches == [[0, 1], [2]]
-    for a, b in zip(whole, packed):
-        assert a.read_bytes() == b.read_bytes()
-
-
 def test_a_run_never_evaluates_the_spec_after_set_up(tmp_path, monkeypatch):
     # the exact benchmarks build the feasible table; every cell then takes its
     # arms' values from it, and its regret from the values its trajectory holds
@@ -302,6 +283,47 @@ def test_a_run_never_evaluates_the_spec_after_set_up(tmp_path, monkeypatch):
     got = run_experiment(cfg, output_dir=tmp_path / "b")
     for a, b in zip(expected, got):
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_chunk_ends_change_no_byte(tmp_path, monkeypatch):
+    # a run is recorded in chunks of CHUNK_CELLS envs times steps: at 1 every
+    # step is a chunk of its own, and at 7 chunk ends fall inside scheduled
+    # blocks and index runs, at optimistic closes and before the close at T
+    doc = _base_doc(
+        T_grid=[16, 45],
+        trials=2,
+        policies=[
+            {"kind": "sub_ucb", "l": 0},
+            {"kind": "sub_ucb", "l": 1, "m": 3},
+            {"kind": "sub_ucb", "l": 2, "m": 2},
+            {"kind": "etcg", "m": 3},
+            {"kind": "ucb_all"},
+        ],
+    )
+    cfg = config_from_json(doc)
+    expected = run_experiment(cfg, output_dir=tmp_path / "default")
+    for cells in (1, 7):
+        monkeypatch.setattr(lockstep, "CHUNK_CELLS", cells)
+        got = run_experiment(cfg, output_dir=tmp_path / str(cells))
+        for a, b in zip(expected, got):
+            assert a.read_bytes() == b.read_bytes()
+
+
+def test_a_runs_memory_does_not_grow_with_its_horizon(tmp_path):
+    # each env meters its regret as the run goes and the step record is one
+    # chunk long, so ten times the horizon costs no more memory
+    def peak(T):
+        cfg = config_from_json(_base_doc(T_grid=[T], trials=4, policies=[{"kind": "ucb_all"}]))
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, output_dir=tmp_path / str(T))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(5_000)  # warm-up: imports and first-call set-up
+    short = peak(5_000)
+    assert peak(50_000) - short <= 256 * 1024
 
 
 def test_run_experiment_resource_guards(tmp_path, monkeypatch):
@@ -345,24 +367,6 @@ def test_run_experiment_resource_guards(tmp_path, monkeypatch):
         run_experiment(cfg, output_dir=tmp_path / "wide")
     assert calls == []
     assert not (tmp_path / "wide").exists()
-
-
-
-def test_run_experiment_record_budget_is_trials_times_the_longest_horizon(
-    tmp_path, monkeypatch
-):
-    monkeypatch.setattr(experiments, "MAX_RECORD_STEPS", 32)
-    cfg = config_from_json(_base_doc(trials=2, T_grid=[8, 16]))
-    at = run_experiment(cfg, output_dir=tmp_path / "at")
-    assert all(path.exists() for path in at)  # 2 x 16 steps: at the budget
-    for trials, T_grid in [(1, [8, 33]), (3, [11])]:  # 33 steps: one over
-        cfg = config_from_json(_base_doc(trials=trials, T_grid=T_grid))
-        calls = []
-        monkeypatch.setattr(type(cfg.function), "_value", lambda self, mask: calls.append(mask))
-        with pytest.raises(RecordTooLarge, match="33 steps"):
-            run_experiment(cfg, output_dir=tmp_path / "over")
-        assert calls == []  # refused before any value is computed
-        assert not (tmp_path / "over").exists()
 
 
 _json_values = st.recursive(

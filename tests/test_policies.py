@@ -566,3 +566,31 @@ def test_windowed_and_dense_runs_are_identical(monkeypatch, sigma, l):
             accepted.clear()
     assert accepted == []  # the dense run never opened a window
     assert runs[0] == runs[math.inf]
+
+
+def test_chunk_ends_change_no_pull(monkeypatch):
+    # chunk ends split blocks, index runs and windows; every choice is
+    # exact, so a run's levels and trajectories do not depend on them, and a
+    # run draws exactly T noise values, so a pull after it reads the same one
+    spec, k = experiment_cover()
+    policies = [
+        SubUcbPolicy(l=0),
+        SubUcbPolicy(l=1, m=5),
+        SubUcbPolicy(l=2, m=3),
+        EtcgPolicy(m=4),
+        UcbAllPolicy(),
+    ]
+
+    def runs():
+        out = []
+        for policy in policies:
+            envs = [BanditEnv(spec, 0.5, seed) for seed in range(3)]
+            levels = policy.run_batch(envs, k, 600)
+            after = [env.pull(ItemSet.of([0])) for env in envs]
+            out.append((levels, [env.trajectory.to_csv() for env in envs], after))
+        return out
+
+    expected = runs()
+    for cells in (1, 7):
+        monkeypatch.setattr(lockstep, "CHUNK_CELLS", cells)
+        assert runs() == expected
