@@ -175,27 +175,40 @@ class RegretReport:
 class RegretMeter:
     """The checkpoint rows of a run's pseudo-regret against ``summary``, fed
     the true values of its pulls in order, in pieces of any length.  The
-    cumulative value is one running sum from 0.0, which ``np.cumsum`` adds in
-    sequence, so no cut changes a bit.  With ``extend`` and ``len`` it stands
-    in for an env's trajectory, which a lockstep run feeds chunk by chunk."""
+    cumulative value is one running sum from -0.0, which ``np.cumsum`` adds in
+    sequence, so no cut changes a bit.  -0.0, not 0.0, is the exact additive
+    identity (0.0 + -0.0 is 0.0), so the sum is bit for bit ``np.cumsum`` of
+    the values.  With ``extend`` and ``len`` it stands in for an env's
+    trajectory, which a lockstep run feeds chunk by chunk."""
 
     def __init__(self, summary: BenchmarkSummary, checkpoints: Iterable[int]):
         self.summary, self.todo = summary, sorted(set(checkpoints), reverse=True)
         self.rows: list[CheckpointRow] = []
-        self.t, self.cum = 0, 0.0
+        self.t, self.cum = 0, -0.0
 
     def __len__(self) -> int:
         return self.t
 
     def extend(self, table: FeasibleTable, codes: np.ndarray, rewards: np.ndarray) -> None:
         """Meter a chunk of a run coded as ranks of ``table``; the rewards are not read."""
-        self.add(table.values[codes])
+        cums = np.empty(len(codes) + 1)
+        # the codes are ranks of the table, so "clip" moves none; unlike the
+        # default "raise", it gathers straight into ``out`` with no buffer
+        np.take(table.values, codes, out=cums[1:], mode="clip")
+        self._count(cums)
 
     def add(self, values: np.ndarray) -> None:
         """Meter the next pulls, worth ``values``."""
-        cums = np.concatenate(([self.cum], values))
+        cums = np.empty(len(values) + 1)
+        cums[1:] = values
+        self._count(cums)
+
+    def _count(self, cums: np.ndarray) -> None:
+        """Meter the pulls worth ``cums[1:]``: the running sum goes in front,
+        and the checkpoints passed are read off its cumsum."""
+        cums[0] = self.cum
         np.cumsum(cums, out=cums)
-        start, self.t, self.cum = self.t, self.t + len(values), float(cums[-1])
+        start, self.t, self.cum = self.t, self.t + len(cums) - 1, float(cums[-1])
         s = self.summary
         while self.todo and self.todo[-1] <= self.t:
             t = self.todo.pop()

@@ -14,9 +14,14 @@ value-plus-slack any chain can achieve,
 computed exactly by dynamic programming over the feasible sets (the chain
 cost decomposes over consecutive levels, so a min over predecessors per set
 is exact).  ``enumerate_benchmark`` recomputes the same minimum by costing
-every ordered chain, or a seeded sample of orders when there are more than
-FULL_ENUM_CAP, and exists as an independent cross-check of the DP: one
-blocked numpy gather costs a block of orders, one chain level at a time.
+every ordered chain, and exists as an independent cross-check of the DP.  It
+walks the orders on their prefix tree, one level at a time: the children of
+a prefix are its untaken items in ascending order, so a level lists its
+orders lexicographically, and a child costs its parent's cost plus one slack,
+the additions the chain's own sum makes, in the same order.  The last level
+is walked in blocks, which bound the memory.  When there are more than
+FULL_ENUM_CAP orders it costs a seeded sample instead, drawn once per (n, k)
+and kept for every spec of that shape, in blocks, one gather per chain level.
 Every routine here walks the rank-indexed table of ``structure.value_table``:
 a chain step S -> S + a is ``extend[rank(S), a]`` and the best marginal of S
 is ``best_extension[rank(S)]``.
@@ -26,20 +31,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, permutations
+from functools import cache
 
 import numpy as np
 
 from .functions import SetFunction
 from .sets import ItemSet
-from .structure import approx_ratio, curvature, value_table
+from .structure import FeasibleTable, approx_ratio, curvature, value_table
 
-# orders costed per gather: the block bounds the enumeration's memory
+# orders costed per gather, on the prefix tree's last level and in the
+# sample: the block bounds the memory of costing them
 _BLOCK_ROWS = 5_000
-# the most orders the cross-check costs exhaustively; past it, it costs
-# SAMPLE_SIZE seeded orders, a whole number of blocks
+# the most orders the cross-check walks exhaustively.  The levels below the
+# last hold perm(n, k - 1) = perm(n, k) / (n - k + 1) prefixes, at most
+# 60,480 (n = 9, k = 7, where the walk peaks at about 2 MB beside the table);
+# near the cap at n >> k they are few, and (24, 4) and (67, 3) peak under 0.5 MB
 FULL_ENUM_CAP = 300_000
 SAMPLE_SEED = 0
+# seeded orders costed past the cap, a whole number of blocks: drawn once per
+# (n, k) and kept, read-only, in the smallest unsigned dtype that holds n - 1
+# (250 KB at n = 20, k = 5)
 SAMPLE_SIZE = 10 * _BLOCK_ROWS
 # slack of the approximation-guarantee comparison
 GUARANTEE_TOL = 1e-9
@@ -161,33 +172,88 @@ def greedy_benchmark(spec: SetFunction, k: int) -> BenchmarkResult:
 def enumerate_benchmark(spec: SetFunction, k: int) -> BenchmarkResult:
     """Benchmark by explicit enumeration of ordered chains (DP cross-check).
 
-    Costs all n*(n-1)*...*(n-k+1) orders in lexicographic blocks, each block
-    by one gather per chain level: slack by slack, then f(final).  The first
-    cheapest order wins, so ties go to the lexicographically first.  If
-    there are more than FULL_ENUM_CAP orders, SAMPLE_SIZE seeded random
-    orders are costed instead; the result is then an upper bound on the
-    benchmark rather than the exact minimum.
+    Costs all n*(n-1)*...*(n-k+1) orders on their prefix tree, one level at
+    a time: a prefix's children are the items it has not taken, ascending, so
+    the orders come in lexicographic order, and a child costs its parent's
+    cost plus the slack of its last item.  So each order costs
+    0.0 + eps_1 + ... + eps_k, then + f(final), summed in that order.  The
+    last level is expanded in blocks of at most _BLOCK_ROWS orders, and
+    back-pointers (a prefix of i items has n - i children) give back the
+    winning order.  The first cheapest order wins, so ties go to the
+    lexicographically first.  If there are more than FULL_ENUM_CAP orders,
+    the SAMPLE_SIZE seeded random orders of ``_sample`` are costed instead,
+    drawn once per (n, k); the result is then an upper bound on the benchmark
+    rather than the exact minimum.
     """
     table = value_table(spec, k)
-    vals, best = table.values, table.best_extension
-    n = spec.n
-    if math.perm(n, k) > FULL_ENUM_CAP:
-        rng = np.random.default_rng(SAMPLE_SEED)
-        # row by row, the first k items of successive rng.permutation(n) draws
-        blocks = (
-            rng.permuted(np.tile(np.arange(n), (_BLOCK_ROWS, 1)), axis=1)[:, :k]
-            for _ in range(SAMPLE_SIZE // _BLOCK_ROWS)
-        )
+    if math.perm(spec.n, k) > FULL_ENUM_CAP:
+        cost, order = _sampled_min(table, _sample(spec.n, k))
     else:
-        every = permutations(range(n), k)
-        blocks = (
-            np.array(block, dtype=np.intp)
-            for block in iter(lambda: list(islice(every, _BLOCK_ROWS)), [])
-        )
+        cost, order = _exhaustive_min(table, k)
+    return BenchmarkResult(cost, chain_from_order(spec, k, order))
 
-    best_cost = math.inf
-    best_order: tuple[int, ...] = ()
-    for orders in blocks:
+
+def _children(table: FeasibleTable, ranks: np.ndarray, costs: np.ndarray):
+    """The ranks and costs of every child of the prefixes at ``ranks``, by
+    prefix, then by ascending item; a child costs its prefix's cost plus the
+    slack of its item."""
+    ext = table.extend[ranks]
+    grown = ext[ext >= 0]  # row-major, so the items ascend within a prefix
+    fanout = len(grown) // len(ranks)  # the items outside a prefix
+    slack = np.repeat(table.best_extension[ranks], fanout) - table.values[grown]
+    np.maximum(0.0, slack, out=slack)
+    return grown, np.repeat(costs, fanout) + slack
+
+
+def _exhaustive_min(table: FeasibleTable, k: int) -> tuple[float, tuple[int, ...]]:
+    """The first cheapest of all orders of k items, walked on their prefix tree."""
+    if k == 0:
+        return float(0.0 + table.values[0]), ()
+    n = table.n
+    levels = [np.zeros(1, dtype=np.intp)]  # the prefixes' ranks, by prefix size
+    costs = np.zeros(1)
+    for _ in range(k - 1):
+        ranks, costs = _children(table, levels[-1], costs)
+        levels.append(ranks)
+    top, fanout = levels[-1], n - k + 1
+    width = max(1, _BLOCK_ROWS // fanout)  # prefixes per block
+    best_cost, best_at, best_rank = math.inf, 0, 0
+    for lo in range(0, len(top), width):
+        grown, cost = _children(table, top[lo : lo + width], costs[lo : lo + width])
+        cost += table.values[grown]
+        i = int(np.argmin(cost))  # argmin keeps the first minimum
+        if cost[i] < best_cost:
+            best_cost, best_at, best_rank = float(cost[i]), lo * fanout + i, int(grown[i])
+    # back up the tree: a prefix of `size` items has n - size children
+    path = [best_rank]
+    for size in range(k - 1, -1, -1):
+        best_at //= n - size
+        path.append(int(levels[size][best_at]))
+    order = [(table.masks[r] ^ table.masks[up]).bit_length() - 1 for r, up in zip(path, path[1:])]
+    return best_cost, tuple(reversed(order))
+
+
+@cache
+def _sample(n: int, k: int) -> np.ndarray:
+    """The SAMPLE_SIZE seeded orders of k of n items, drawn once per (n, k):
+    row by row, the first k items of successive ``rng.permutation(n)`` draws,
+    in the smallest unsigned dtype that holds n - 1, read-only."""
+    rng = np.random.default_rng(SAMPLE_SEED)
+    orders = np.empty((SAMPLE_SIZE, k), dtype=np.min_scalar_type(n - 1))
+    for lo in range(0, SAMPLE_SIZE, _BLOCK_ROWS):
+        block = rng.permuted(np.tile(np.arange(n), (_BLOCK_ROWS, 1)), axis=1)
+        orders[lo : lo + _BLOCK_ROWS] = block[:, :k]
+    orders.flags.writeable = False
+    return orders
+
+
+def _sampled_min(table: FeasibleTable, sample: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """The first cheapest of ``sample``'s orders, costed a block at a time by
+    one gather per chain level: slack by slack, then f(final)."""
+    vals, best = table.values, table.best_extension
+    best_cost, best_order = math.inf, ()
+    for lo in range(0, len(sample), _BLOCK_ROWS):
+        orders = sample[lo : lo + _BLOCK_ROWS]
         r = np.zeros(len(orders), dtype=np.intp)
         cost = np.zeros(len(orders))
         for a in orders.T:
@@ -197,10 +263,8 @@ def enumerate_benchmark(spec: SetFunction, k: int) -> BenchmarkResult:
         cost += vals[r]
         i = int(np.argmin(cost))  # argmin keeps the first minimum
         if cost[i] < best_cost:
-            best_cost = float(cost[i])
-            best_order = tuple(orders[i].tolist())
-
-    return BenchmarkResult(best_cost, chain_from_order(spec, k, best_order))
+            best_cost, best_order = float(cost[i]), tuple(orders[i].tolist())
+    return best_cost, best_order
 
 
 @dataclass(frozen=True)

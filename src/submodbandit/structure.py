@@ -86,6 +86,24 @@ class FeasibleTable:
         """max over b not in S of f(S + b), for every S with |S| < k."""
         return self.grown(slice(None)).max(axis=1)
 
+    @cached_property
+    def curvature(self) -> float:
+        """Total curvature: 1 minus the worst marginal-to-singleton ratio.
+
+        Pairs whose singleton value is 0 are skipped (monotone + submodular
+        forces the marginal to 0 there); if every singleton is worth 0, or
+        no set can grow (k = 0), it is 0.
+        """
+        if not len(self.extend):
+            return 0.0  # k = 0: no set can grow
+        single = self.values[self.extend[0]]  # row 0 is the empty set
+        counted = (self.extend >= 0) & (single > 0.0)
+        if not counted.any():
+            return 0.0  # every singleton is worth 0
+        gains = self.values[self.extend] - self.values[: len(self.extend), None]
+        ratios = gains / np.where(single > 0.0, single, 1.0)
+        return 1.0 - float(ratios[counted].min())
+
 
 def value_table(spec: SetFunction, k: int) -> FeasibleTable:
     """The feasible-set table of ``spec`` up to size k, built once per spec."""
@@ -206,23 +224,8 @@ def check_submodular(spec: SetFunction, k: int) -> SubmodularResult:
 
 
 def curvature(spec: SetFunction, k: int) -> float:
-    """Total curvature: 1 minus the worst marginal-to-singleton ratio.
-
-    Pairs whose singleton value is 0 are skipped (monotone + submodular
-    forces the marginal to 0 there); if every singleton is worth 0 the
-    function returns 0.
-    """
-    table = value_table(spec, k)
-    if k == 0:
-        return 0.0  # no set can grow
-    single = table.values[table.extend[0]]  # row 0 is the empty set
-    rows = len(table.extend)
-    counted = (table.extend >= 0) & (single > 0.0)
-    if not counted.any():
-        return 0.0  # every singleton is worth 0
-    gains = table.values[table.extend] - table.values[:rows, None]
-    ratios = gains / np.where(single > 0.0, single, 1.0)
-    return 1.0 - float(ratios[counted].min())
+    """Total curvature of ``spec`` up to size k (``FeasibleTable.curvature``)."""
+    return value_table(spec, k).curvature
 
 
 def approx_ratio(c: float) -> float:

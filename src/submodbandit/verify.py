@@ -8,11 +8,15 @@ For a (spec, k) pair the suite checks:
   (a FAIL naming the curvature when it lies outside [0, 1], where the
   guarantee has no ratio),
 * agreement of the benchmark DP with explicit chain enumeration, which
-  costs every ordered chain by blocked gathers over the feasible-set table
+  costs every ordered chain on its prefix tree over the feasible-set table
   when there are at most ``greedy.FULL_ENUM_CAP`` of them, and a fixed
-  seeded sample of orders otherwise; the sampled variant checks the DP
-  value is a lower bound and that the DP witness chain is feasible and
-  costs exactly the DP value.
+  seeded sample of orders otherwise, drawn once per (n, k) and shared by
+  every instance of that shape; the sampled variant checks the DP value is
+  a lower bound and that the DP witness chain is feasible and costs exactly
+  the DP value.
+
+The curvature is the table's (``FeasibleTable.curvature``), computed once
+for its row and the guarantee alike.
 """
 
 from __future__ import annotations

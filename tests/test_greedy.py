@@ -1,9 +1,12 @@
 import math
 import time
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import enumerate_chain_costs, masks_upto, random_monotone_submodular
 from submodbandit import (
@@ -27,7 +30,9 @@ from submodbandit.catalog import (
     harmonic_elevated,
     unique_path,
 )
-from submodbandit.greedy import FULL_ENUM_CAP
+from submodbandit import greedy
+from submodbandit.greedy import FULL_ENUM_CAP, SAMPLE_SEED, SAMPLE_SIZE
+from submodbandit.structure import value_table
 
 
 def test_exact_greedy_cover_chain():
@@ -121,6 +126,16 @@ def _order_cost(spec, k, order):
     return chain.total_slack() + spec.value_of_mask(chain.final_set().mask), chain
 
 
+def _first_cheapest(spec, k, orders):
+    # one order at a time; a strict < keeps the first cheapest
+    best_cost, best_chain = math.inf, None
+    for order in orders:
+        cost, chain = _order_cost(spec, k, order)
+        if cost < best_cost:
+            best_cost, best_chain = cost, chain
+    return best_cost, best_chain
+
+
 def _tied_table(seed, n, k):
     # values on a grid of quarters, so many chains cost exactly the same
     rng = np.random.default_rng(seed)
@@ -146,14 +161,57 @@ def _tied_table(seed, n, k):
     ],
 )
 def test_enumeration_keeps_the_lexicographically_first_minimum(spec, k):
-    best_cost, best_chain = math.inf, None
-    for order in permutations(range(spec.n), k):
-        cost, chain = _order_cost(spec, k, order)
-        if cost < best_cost:
-            best_cost, best_chain = cost, chain
     enum = enumerate_benchmark(spec, k)
-    assert enum.value == best_cost
-    assert enum.chain == best_chain
+    assert (enum.value, enum.chain) == _first_cheapest(spec, k, permutations(range(spec.n), k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+@example((7, 7), False, 1)
+@example((7, 7), True, 2)
+@example((7, 0), False, 3)
+@example((7, 1), True, 4)
+def test_prefix_tree_walk_matches_one_order_at_a_time(shape, tied, seed):
+    n, k = shape
+    spec = _tied_table(seed, n, n) if tied else random_monotone_submodular(seed, n=n, k=n)
+    enum = enumerate_benchmark(spec, k)
+    assert (enum.value, enum.chain) == _first_cheapest(spec, k, permutations(range(n), k))
+
+
+def test_specs_of_one_over_cap_shape_draw_the_sample_once(monkeypatch):
+    n, k = 12, 6
+    assert math.perm(n, k) > FULL_ENUM_CAP
+    greedy._sample.cache_clear()
+    draws = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: draws.append(a) or real(*a))
+    for spec in (harmonic_base(n, k), harmonic_elevated(n, k)):
+        enumerate_benchmark(spec, k)
+    assert draws == [(SAMPLE_SEED,)]
+    sample = greedy._sample(n, k)
+    assert sample.shape == (SAMPLE_SIZE, k) and sample.dtype == np.uint8
+    with pytest.raises(ValueError, match="read-only"):
+        sample[0, 0] = 0
+
+
+@pytest.mark.parametrize("n, k", [(24, 4), (67, 3)])
+def test_enumeration_memory_stays_within_its_blocks(n, k):
+    # near the cap (255,024 and 287,430 orders) the last level is walked
+    # in blocks, so the walk holds no array of every order
+    spec = harmonic_base(n, k)
+    assert math.perm(n, k) <= FULL_ENUM_CAP
+    value_table(spec, k).best_extension  # the table belongs to the spec
+    tracemalloc.start()
+    try:
+        enumerate_benchmark(spec, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
 
 
 def test_sampled_enumeration_matches_one_order_at_a_time():
@@ -161,15 +219,9 @@ def test_sampled_enumeration_matches_one_order_at_a_time():
     spec, k = harmonic_elevated(20, 5), 5
     assert math.perm(20, k) > FULL_ENUM_CAP
     rng = np.random.default_rng(0)
-    best_cost, best_chain = math.inf, None
-    for _ in range(50_000):
-        order = tuple(int(a) for a in rng.permutation(20)[:k])
-        cost, chain = _order_cost(spec, k, order)
-        if cost < best_cost:
-            best_cost, best_chain = cost, chain
+    orders = (tuple(int(a) for a in rng.permutation(20)[:k]) for _ in range(50_000))
     enum = enumerate_benchmark(spec, k)
-    assert enum.value == best_cost
-    assert enum.chain == best_chain
+    assert (enum.value, enum.chain) == _first_cheapest(spec, k, orders)
     assert enum.value >= greedy_benchmark(spec, k).value
 
 def test_chain_from_order_rejects_bad_items():
