@@ -26,14 +26,21 @@ no pull.
 On a wide batch (``WINDOW_CELLS`` or more envs times arms outside the
 window) the index steps run on a certified candidate window instead of
 every arm.  A window opens with one dense index at the largest ln s of its
-at most ``WINDOW_STEPS`` steps.  IEEE division, sqrt and addition are monotone, so for every arm the
-window does not pull this is a bound U on its index at each of the
-window's steps.  Each row keeps its ``WINDOW_ARMS`` arms of largest U, in
-position order, and tau, its largest U outside them.  A step evaluates the
-unchanged index on the candidates alone and accepts their first maximum
-only if it is strictly above tau in every row: then no other arm reaches
-it, so it is the dense argmax, ties included.  Otherwise the step falls
-back to the dense index, as do the steps up to the next window.
+at most ``WINDOW_STEPS`` steps.  IEEE division, sqrt and addition are
+monotone, so for every arm the window does not pull this is a bound U on
+its index at each of the window's steps.  Each row past its schedule keeps
+its ``WINDOW_ARMS`` arms of largest U, in position order, and tau, its
+largest U outside them; a row in its schedule keeps the cells its schedule
+pulls next.  The window copies its candidates' ranks, sums, pulls and means
+into a compact (envs x ``WINDOW_ARMS``) state, and its steps read and
+update only that.  A step evaluates the unchanged index on the candidates
+alone and accepts their first maximum only if it is strictly above tau in
+every row: then no other arm reaches it, so it is the dense argmax, ties
+included.  The pull then adds to the chosen candidate's cell, in the same
+order.  Otherwise the step falls back to the dense index, as do the steps
+up to the next window.  The compact state is written back to the full one
+when the window closes (at its end or at a fallback) and whenever the
+steps stop for a close, a schedule end or a chunk end.
 """
 
 from __future__ import annotations
@@ -58,8 +65,11 @@ CHUNK_CELLS = 2**16
 # index they save: on cover15 (T = 4000, 2-CPU Xeon) one env over 1,365 arms
 # ran 1.3x slower windowed, and 64 envs over 78 arms 1.9x slower
 WINDOW_CELLS = 2**12
-# a window's candidate arms per row, and its most steps
-WINDOW_ARMS, WINDOW_STEPS = 64, 32
+# a window's candidate arms per row, and its most steps.  A row in its
+# schedule pulls at most one new cell per step, so WINDOW_STEPS <= WINDOW_ARMS
+# keeps its pulls inside its window.  64 steps open half the windows of 32,
+# and on cover15 and harmonic_elevated(20, 5) ran 1.1-1.6x faster than 64/32
+WINDOW_ARMS, WINDOW_STEPS = 64, 64
 
 
 def phase_arms(table: FeasibleTable, base: int, size: int) -> np.ndarray:
@@ -121,13 +131,18 @@ class Lockstep:
         self.sums = np.zeros((rows, width))
         self.means = np.full((rows, width), -np.inf)
         self.buf = np.empty((rows, width))
-        # flat views, indexed by row0 + cell to reach one cell in every row
         self.rows = np.arange(rows)
+        # offsets into the flattened state, row0 + cell reaches one cell in every row
         self.row0 = self.rows * width
+        self.flat = tuple(a.reshape(-1) for a in (self.ranks, self.sums, self.counts, self.means))
         # a window needs more arms per row than it keeps, and pays for
         # itself only when it leaves enough of them out
         self.windowed = width > WINDOW_ARMS and rows * (width - WINDOW_ARMS) >= WINDOW_CELLS
-        self.flat = [a.reshape(-1) for a in (self.ranks, self.sums, self.counts, self.means)]
+        if self.windowed:  # an open window's copy of its candidates' state, and their index
+            self.part = tuple(np.empty((rows, WINDOW_ARMS), a.dtype) for a in self.flat)
+            self.part_flat = tuple(a.reshape(-1) for a in self.part)
+            self.part_buf = np.empty((rows, WINDOW_ARMS))
+            self.part_row0 = self.rows * WINDOW_ARMS
         self.pos = np.zeros(rows, np.int64)
         self.slen = np.zeros(rows, np.int64)
         self.rep = np.ones(rows, np.int64)
@@ -178,49 +193,54 @@ class Lockstep:
         else:  # budget spent: the row only waits for the others' last closes
             self.lim[r], self.by_mean[r] = math.inf, False
 
-    def _index(self, bonus: float) -> np.ndarray:
-        """Every cell's mean + sqrt(bonus / pulls), in ``buf``.  A row still
-        in its schedule has arms with no pulls, so its index divides by zero
-        (callers then silence the floating-point warnings) and its answer is
-        never read."""
-        np.divide(bonus, self.counts, out=self.buf)
-        np.sqrt(self.buf, out=self.buf)
-        self.buf += self.means
-        return self.buf
-
     def _index_argmax(self, t: int) -> np.ndarray:
         """Each row's index argmax at step t, over every arm: the path of
         narrow batches, and the fallback of a candidate window."""
-        return self._index(8.0 * math.log(t)).argmax(axis=1)
+        return _index(8.0 * math.log(t), self.counts, self.means, self.buf).argmax(axis=1)
 
     def _window(self, t: int, end: int, sched: np.ndarray) -> tuple:
-        """A candidate window for the index steps t .. end - 1: each row's
-        ``WINDOW_ARMS`` cells of largest bound U, in position order, their
-        flat cells, and tau, the row's largest U outside them (-inf for a
-        row in its schedule, whose answer is never read).  U is the index at
+        """Open a candidate window for the index steps t .. end - 1: copy
+        each row's ``WINDOW_ARMS`` candidate cells, in position order, into
+        the compact state ``part``, and return the candidates, their flat
+        cells and tau.  A free row's candidates are its cells of largest
+        bound U, and tau is its largest U outside them.  U is the index at
         the largest 8 ln s of the window; IEEE division, sqrt and addition
         are monotone, so U bounds the index of every arm that the window
-        does not pull, at each of its steps."""
-        bound = self._index(max(8.0 * math.log(s) for s in range(t, end)))
+        does not pull, at each of its steps.  A row in its schedule pulls at
+        most one new cell per step from cell pos // rep on, so its
+        candidates are the cells from there (or the last ones), and its tau
+        is -inf: its answer is never read."""
+        bonus = max(8.0 * math.log(s) for s in range(t, end))
+        bound = _index(bonus, self.counts, self.means, self.buf)
         order = bound.argpartition(-WINDOW_ARMS - 1, axis=1)
         tau = bound[self.rows, order[:, -WINDOW_ARMS - 1]]
-        tau[sched] = -np.inf
         cand = np.sort(order[:, -WINDOW_ARMS:], axis=1)
-        return cand, self.row0[:, None] + cand, tau
+        if sched.any():
+            first = np.minimum(self.pos // self.rep, bound.shape[1] - WINDOW_ARMS)
+            cand[sched] = first[sched, None] + np.arange(WINDOW_ARMS)
+            tau[sched] = -np.inf
+        cells = (self.row0[:, None] + cand).reshape(-1)
+        for full, part in zip(self.flat, self.part_flat):
+            np.take(full, cells, out=part)
+        return cand, cells, tau
 
     def _window_argmax(self, t: int, window: tuple) -> np.ndarray | None:
-        """Each row's index argmax at step t from the window's candidates,
-        or None unless every row's best candidate is above its tau.  Then no
-        other arm reaches it, and the candidates' first maximum (they are in
-        position order) is the dense argmax, ties included."""
-        cand, cells, tau = window
-        index = np.divide(8.0 * math.log(t), self.flat[2][cells])
-        np.sqrt(index, out=index)
-        index += self.flat[3][cells]
-        best = index.argmax(axis=1)
-        if np.count_nonzero(index[self.rows, best] > tau) < tau.size:
+        """Each row's index argmax at step t among the window's candidates,
+        as a flat cell of the compact state, or None unless every row's best
+        candidate is above its tau.  Then no other arm reaches it, and the
+        candidates' first maximum (they are in position order) is the dense
+        argmax, ties included."""
+        index = _index(8.0 * math.log(t), self.part[2], self.part[3], self.part_buf)
+        at = self.part_row0 + index.argmax(axis=1)
+        if np.count_nonzero(index.reshape(-1)[at] > window[2]) < at.size:
             return None
-        return cand[self.rows, best]
+        return at
+
+    def _write_back(self, window: tuple | None) -> None:
+        """Copy an open window's sums, pulls and means to the full state."""
+        if window is not None:
+            for full, part in zip(self.flat[1:], self.part_flat[1:]):
+                full[window[1]] = part
 
     def _pull(self, t: int, cells: np.ndarray) -> None:
         """Pull ``cells[r, i]`` in row r at step t + i, for every row."""
@@ -250,7 +270,7 @@ class Lockstep:
                 free = ~sched
                 with np.errstate(divide="ignore", invalid="ignore"):
                     j = self._index_argmax(t)
-                closing = np.flatnonzero(free & (self._pulls_of(j) >= self.lim))
+                closing = np.flatnonzero(free & (self.flat[2][self.row0 + j] >= self.lim))
                 for r in closing.tolist():
                     self._close(r, int(j[r]), t)
                 if closing.size:
@@ -290,40 +310,57 @@ class Lockstep:
         rows past their schedules apply the index rule: stop before a level
         closes, or when a schedule or the chunk ends; return the t reached.
         The rows in a schedule stay in it throughout, so the only arms a
-        free row pulls are its argmaxes: a window's candidates."""
+        free row pulls are its argmaxes: a window's candidates.  A step pulls
+        on the full state, or on an open window's compact state, which is
+        written back when the window closes and before the return."""
         free = ~sched
         every = not sched.any()
         stop = self.end if every else min(self.end, t + int((self.slen - self.pos)[sched].min()))
         closable = bool((free & (self.lim < math.inf)).any())
-        ranks, sums, counts, means = self.flat
         values = self.table.values
-        window, end = None, t  # a candidate window serves the steps before end
+        # the flat state pulled, and each row's origin in it: a row in its
+        # schedule pulls the cell origin + pos // rep
+        (ranks, sums, counts, means), origin = self.flat, self.row0
+        at = origin + j
+        window, end = None, t  # an open window serves the steps before end
         with np.errstate(divide="ignore", invalid="ignore"):
             while True:
-                cells = j if every else np.where(sched, self.pos // self.rep, j)
-                flat = self.row0 + cells
-                rank = ranks[flat]
+                if not every:
+                    at = np.where(sched, origin + self.pos // self.rep, at)
+                    self.pos += sched
+                rank = ranks[at]
                 self.record[:, t - self.begin] = rank
                 rewards = self.rewards[:, t - self.begin]
                 rewards += values[rank]
                 # one cell per row, so plain indexed updates add in pull order
-                total, pulls = sums[flat] + rewards, counts[flat] + 1.0
-                sums[flat], counts[flat], means[flat] = total, pulls, total / pulls
-                if not every:
-                    self.pos += sched
+                total, pulls = sums[at] + rewards, counts[at] + 1.0
+                sums[at], counts[at], means[at] = total, pulls, total / pulls
                 t += 1
                 if t >= stop:
-                    return t
+                    break
                 if self.windowed and t >= end:
+                    self._write_back(window)
                     end = min(stop, t + WINDOW_STEPS)
                     window = self._window(t, end, sched)
-                j = None if window is None else self._window_argmax(t, window)
-                if j is None:  # the dense index, up to the next window's step
+                    ranks, sums, counts, means = self.part_flat
+                    origin = self.part_row0 - window[0][:, 0]
+                at = None if window is None else self._window_argmax(t, window)
+                if at is None:  # the dense index, up to the next window's step
+                    self._write_back(window)
                     window = None
-                    j = self._index_argmax(t)
-                if closable and (free & (self._pulls_of(j) >= self.lim)).any():
-                    return t
+                    (ranks, sums, counts, means), origin = self.flat, self.row0
+                    at = origin + self._index_argmax(t)
+                if closable and (free & (counts[at] >= self.lim)).any():
+                    break
+        self._write_back(window)
+        return t
 
-    def _pulls_of(self, j: np.ndarray) -> np.ndarray:
-        """Each row's pulls of its cell j."""
-        return self.flat[2][self.row0 + j]
+
+def _index(bonus: float, counts: np.ndarray, means: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each cell's mean + sqrt(bonus / pulls), in ``out``.  A row still in its
+    schedule has arms with no pulls, so its index divides by zero (callers
+    then silence the floating-point warnings) and its answer is never read."""
+    np.divide(bonus, counts, out=out)
+    np.sqrt(out, out=out)
+    out += means
+    return out

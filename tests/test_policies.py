@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -445,32 +446,44 @@ def test_run_on_a_used_env_raises_before_any_noise():
     assert used.trajectory == twin.trajectory
 
 
-def _window_state(rows, width):
-    """A lockstep batch of the given shape whose state a test then sets."""
+def _window_state(rows, width, cells=lockstep.WINDOW_CELLS):
+    """A lockstep batch of the given shape, which opens windows from
+    ``cells`` envs times arms left out, and whose state a test then sets."""
     spec = harmonic_base(6, 2)
     envs = [BanditEnv(spec, 0.0, seed) for seed in range(rows)]
-    return lockstep.Lockstep(envs, value_table(spec, 2), 2, 1, 0, None, False, width)
+    with mock.patch.object(lockstep, "WINDOW_CELLS", cells):
+        return lockstep.Lockstep(envs, value_table(spec, 2), 2, 1, 0, None, False, width)
 
 
 def _walk_window(lock, t, end, sched, pull):
-    """Step a window from t to end against the dense index: each accepted
-    choice must be the dense argmax of every free row.  Row r then pulls
-    ``pull(r, choice)``: a cell with the mean it returns.  Returns the
-    number of steps the window accepted before it fell back."""
+    """Step a window from t to end against the dense index: each scheduled
+    row's window must hold the cells its schedule pulls next, and each
+    accepted choice must be the dense argmax of every free row.  Row r then
+    pulls ``pull(r, choice)``: a column of the window's compact state, with
+    the mean it returns, which the window writes back before the next dense
+    index is read.  Returns the number of steps the window accepted before
+    it fell back."""
     free = ~sched
+    counts, means = lock.part[2], lock.part[3]
     with np.errstate(divide="ignore", invalid="ignore"):
         window = lock._window(t, end, sched)
+        cand = window[0]
+        for r in np.flatnonzero(sched):
+            due = np.arange(lock.pos[r], lock.pos[r] + end - t) // lock.rep[r]
+            assert np.isin(due[due < lock.ranks.shape[1]], cand[r]).all()
         for s in range(t, end):
             got = lock._window_argmax(s, window)
             want = lock._index_argmax(s)
             if got is None:  # the engine falls back to the dense index
                 return s - t
-            assert (got[free] == want[free]).all()
+            got -= lock.part_row0
+            assert (cand[lock.rows, got][free] == want[free]).all()
             for r in range(len(sched)):
-                j, mean = pull(r, int(got[r]))
-                if lock.means[r, j] > -np.inf:
-                    lock.counts[r, j] += 1
-                    lock.means[r, j] = mean
+                c, mean = pull(r, int(got[r]))
+                if means[r, c] > -np.inf:
+                    counts[r, c] += 1
+                    means[r, c] = mean
+            lock._write_back(window)
     return end - t
 
 
@@ -479,11 +492,12 @@ def _walk_window(lock, t, end, sched, pull):
 def test_window_choice_equals_the_dense_argmax(data):
     """At every step of a candidate window that accepts, each free row's
     choice is the dense index argmax, ties included, while the rows pull
-    their choices (and the scheduled rows any arm).  Each row's arms share a
+    their choices (and the scheduled rows any cell of their window, which
+    holds the cells their schedule pulls next).  Each row's arms share a
     few (pulls, mean) pairs, so that many indexes tie."""
     rows = data.draw(st.integers(1, 4), label="rows")
     width = data.draw(st.integers(lockstep.WINDOW_ARMS + 1, 3 * lockstep.WINDOW_ARMS), label="width")
-    lock = _window_state(rows, width)
+    lock = _window_state(rows, width, cells=0)
     means = st.sampled_from([0.0, 0.25, 0.5, 0.5000000000000001, 0.75, 1.0])
     sched = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows), label="sched"))
     for r in range(rows):
@@ -493,11 +507,14 @@ def test_window_choice_equals_the_dense_argmax(data):
         groups = st.lists(st.integers(0, len(pairs) - 1), min_size=arms, max_size=arms)
         for a, i in enumerate(data.draw(groups, label="groups")):
             lock.counts[r, a], lock.means[r, a] = pairs[i]
-
-    def pull(r, j):
         if sched[r]:
-            j = data.draw(st.integers(0, width - 1), label="scheduled pull")
-        return j, data.draw(means, label="mean")
+            lock.rep[r] = data.draw(st.integers(1, 3), label="rep")
+            lock.pos[r] = data.draw(st.integers(0, width * int(lock.rep[r]) - 1), label="pos")
+
+    def pull(r, c):
+        if sched[r]:
+            c = data.draw(st.integers(0, lockstep.WINDOW_ARMS - 1), label="scheduled pull")
+        return c, data.draw(means, label="mean")
 
     t = data.draw(st.integers(2, 10**4), label="t")
     end = t + data.draw(st.integers(1, lockstep.WINDOW_STEPS), label="steps")
@@ -507,7 +524,7 @@ def test_window_choice_equals_the_dense_argmax(data):
 def test_window_falls_back_when_its_candidates_tie_with_the_rest():
     # every arm has one index, which at a one-step window is also its bound:
     # the best candidate only equals tau, and the dense index picks arm 0
-    lock = _window_state(2, 100)
+    lock = _window_state(2, 100, cells=0)
     lock.counts[:] = 3.0
     lock.means[:] = 0.5
     sched = np.zeros(2, bool)
@@ -519,7 +536,7 @@ def test_window_bound_holds_at_its_last_step():
     # 64 arms pulled 4 times with mean 1 lead 36 arms pulled twice with mean
     # 0.5 at t = 2, but the latter's larger bonus overtakes them by t = 3: a
     # bound taken at the window's first step would accept a wrong arm there
-    lock = _window_state(1, 100)
+    lock = _window_state(1, 100, cells=0)
     lock.counts[0, :64], lock.means[0, :64] = 4.0, 1.0
     lock.counts[0, 64:], lock.means[0, 64:] = 2.0, 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -566,6 +583,65 @@ def test_windowed_and_dense_runs_are_identical(monkeypatch, sigma, l):
             accepted.clear()
     assert accepted == []  # the dense run never opened a window
     assert runs[0] == runs[math.inf]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+def test_mixed_phase_window_at_the_real_gate(monkeypatch, sigma):
+    # harmonic_base(20, 5) at l = 2: with noise the rows close their
+    # optimistic level 1 at different steps, so some run their 816-arm flat
+    # schedule while others apply the index rule.  16 x (816 - 64) cells
+    # open windows at the default WINDOW_CELLS, and the scheduled rows pull
+    # inside them.  At sigma = 0 every row takes one path, in step.
+    spec, k = harmonic_base(20, 5), 5
+    steps = []
+    window_argmax = lockstep.Lockstep._window_argmax
+
+    def spy(self, t, window):
+        j = window_argmax(self, t, window)
+        steps.append((j is not None, bool((self.pos < self.slen).any())))
+        return j
+
+    def run():
+        envs = [BanditEnv(spec, sigma, seed) for seed in range(16)]
+        levels = SubUcbPolicy(l=2, m=20).run_batch(envs, k, 4000)
+        return levels, [env.trajectory.to_csv() for env in envs]
+
+    monkeypatch.setattr(lockstep.Lockstep, "_window_argmax", spy)
+    windowed = run()
+    accepted = [scheduled for ok, scheduled in steps if ok]
+    assert accepted  # the window chose arms, not only the fallback
+    assert any(accepted) == (sigma > 0)  # ... also while a row was in its schedule
+    steps.clear()
+    monkeypatch.setattr(lockstep, "WINDOW_CELLS", math.inf)
+    assert run() == windowed
+    assert steps == []  # the dense run never opened a window
+
+
+def test_chunk_ends_inside_windows_change_no_pull(monkeypatch):
+    # chunks of 7 and of 13 steps end inside the windows of an 8 x 1,365
+    # ucb_all batch; each _steps return writes its window back to the full
+    # state, which the next window opens from
+    spec, k = experiment_cover()
+    accepted = []
+    window_argmax = lockstep.Lockstep._window_argmax
+
+    def spy(self, t, window):
+        j = window_argmax(self, t, window)
+        accepted.append(j is not None)
+        return j
+
+    def run():
+        envs = [BanditEnv(spec, 0.5, seed) for seed in range(8)]
+        levels = UcbAllPolicy().run_batch(envs, k, 2000)
+        return levels, [env.trajectory.to_csv() for env in envs]
+
+    expected = run()
+    monkeypatch.setattr(lockstep.Lockstep, "_window_argmax", spy)
+    for steps in (7, 13):
+        monkeypatch.setattr(lockstep, "CHUNK_CELLS", 8 * steps)
+        assert run() == expected
+        assert any(accepted)
+        accepted.clear()
 
 
 def test_chunk_ends_change_no_pull(monkeypatch):
