@@ -71,7 +71,7 @@ class Trajectory:
         coded in any other table."""
         if not self._len:
             self._masks, self._values = table.masks, table.values
-        elif self._masks is not table.masks:
+        elif self._values is not table.values:
             raise ValueError("extend needs the table of the trajectory's earlier steps")
         self._store(codes, rewards)
 

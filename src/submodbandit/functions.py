@@ -28,7 +28,9 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Mapping
 
-from .sets import ItemSet, render_mask
+import numpy as np
+
+from .sets import ItemSet, feasible_count, render_mask
 
 
 def is_int(value) -> bool:
@@ -45,6 +47,11 @@ def is_finite_number(value) -> bool:
 
 class SetFunction:
     """Base class; concrete specs implement ``_value`` on raw masks.
+
+    ``_values(masks, k)`` gives the values of the feasible-set table's masks
+    (every set of size <= k, in ``sets.sort_key`` order) as one float64
+    array.  The default is one ``_value`` call per mask; a family may
+    override it with a bulk fill, which must equal that loop bit for bit.
 
     ``memo`` is one dict per instance for tables derived from the spec.  It
     sits in the instance ``__dict__``, which a frozen dataclass leaves
@@ -69,6 +76,9 @@ class SetFunction:
 
     def _value(self, mask: int) -> float:
         raise NotImplementedError
+
+    def _values(self, masks: tuple[int, ...], k: int) -> np.ndarray:
+        return np.fromiter(map(self._value, masks), float, len(masks))
 
     def value_of_mask(self, mask: int) -> float:
         """Validated evaluation on a raw bit mask."""
@@ -134,6 +144,9 @@ class Tabular(SetFunction):
 
     def _value(self, mask: int) -> float:
         return self.table[mask]
+
+    def _values(self, masks: tuple[int, ...], k: int) -> np.ndarray:
+        return np.fromiter(map(self.table.__getitem__, masks), float, len(masks))
 
     def to_json(self) -> dict:
         table = {
@@ -206,9 +219,10 @@ class WeightedCover(SetFunction):
 
 class _Harmonic(SetFunction):
     """What the two harmonic families share: the checks 1 <= k <= n and
-    0 < delta < inf, k_max = k, and the level table ``_base[s]`` =
-    H_{s+k} - H_k for s = 0..k.  Each subclass is a dataclass with fields n,
-    k and delta."""
+    0 < delta < inf, k_max = k, the level table ``_base[s]`` =
+    H_{s+k} - H_k for s = 0..k, and the bulk fill of a feasible-set table.
+    Each subclass is a dataclass with fields n, k and delta, and gives the
+    gap ``_gap(s)`` of a set of size s off the prefix chain."""
 
     k: int
     delta: float
@@ -229,6 +243,18 @@ class _Harmonic(SetFunction):
     def k_max(self) -> int:
         return self.k
 
+    def _values(self, masks: tuple[int, ...], k: int) -> np.ndarray:
+        # each level is worth _base[s] - _gap(s) but for its first set, the
+        # prefix {0, ..., s-1}, worth _base[s]
+        values = np.empty(len(masks))
+        lo = 0
+        for s in range(k + 1):
+            hi = lo + math.comb(self.n, s)
+            values[lo:hi] = self._base[s] - self._gap(s)
+            values[lo] = self._base[s]
+            lo = hi
+        return values
+
 
 @dataclass(frozen=True)
 class UniqueGreedyPath(_Harmonic):
@@ -243,12 +269,15 @@ class UniqueGreedyPath(_Harmonic):
     k: int
     delta: float = 0.01
 
+    def _gap(self, s: int) -> float:
+        return self.delta
+
     def _value(self, mask: int) -> float:
         s = mask.bit_count()
         base = self._base[s]
         if mask == (1 << s) - 1:
             return base
-        return base - self.delta
+        return base - self._gap(s)
 
     def to_json(self) -> dict:
         return {
@@ -308,18 +337,29 @@ class HarmonicInstance(_Harmonic):
     def is_elevated(self) -> bool:
         return self.tail is not None
 
+    def _gap(self, s: int) -> float:
+        return self.delta if s == self.k else self.delta / self.k
+
     def _value(self, mask: int) -> float:
         s = mask.bit_count()
         base = self._base[s]
         if self.tail is not None:
             planted = self._chain_masks.get(s)
             if planted is not None and mask == planted:
-                return base + (self.delta if s == self.k else self.delta / self.k)
+                return base + self._gap(s)
         if mask == (1 << s) - 1:
             return base
-        if s == self.k:
-            return base - self.delta
-        return base - self.delta / self.k
+        return base - self._gap(s)
+
+    def _values(self, masks: tuple[int, ...], k: int) -> np.ndarray:
+        values = super()._values(masks, k)
+        if self.tail is not None:  # the planted chain wins over the prefix
+            for s, planted in self._chain_masks.items():
+                if s <= k:
+                    lo = feasible_count(self.n, s - 1)
+                    rank = masks.index(planted, lo, lo + math.comb(self.n, s))
+                    values[rank] = self._base[s] + self._gap(s)
+        return values
 
     def to_json(self) -> dict:
         doc = {

@@ -61,9 +61,12 @@ BLOCK_CELLS = 2**8
 # envs times steps of one chunk of the step record (0.5 MB per record array)
 CHUNK_CELLS = 2**16
 # envs times arms outside a window from which index steps run on candidate
-# windows.  Below it a window's fixed numpy calls cost more than the dense
-# index they save: on cover15 (T = 4000, 2-CPU Xeon) one env over 1,365 arms
-# ran 1.3x slower windowed, and 64 envs over 78 arms 1.9x slower
+# windows.  On the compact window state (cover15, T = 4000, sigma = 1, process
+# time on a 2-CPU Xeon) one env over 1,365 arms (1,301 cells) still ran slower
+# windowed, 36.7 against 31.0 ms, and so did 64 envs over 78 arms at l = 2
+# (896 cells), 136.1 against 120.1 ms; 2 envs over 1,365 arms (2,602 cells)
+# already ran faster, 26.4 against 38.1 ms.  A gate between the two would
+# need a check on tabular-cells, whose 8 x 153 batches lie below it
 WINDOW_CELLS = 2**12
 # a window's candidate arms per row, and its most steps.  A row in its
 # schedule pulls at most one new cell per step, so WINDOW_STEPS <= WINDOW_ARMS

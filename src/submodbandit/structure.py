@@ -11,6 +11,11 @@ spec's own ``memo``.  Its only resource guard is a budget on the number of
 feasible sets times n, checked before any array is allocated or any value is
 computed.
 
+A table is two parts.  The index, ``masks`` and ``extend``, depends only on
+(n, k): ``_ranked_sets`` builds it and keeps the last one built, so the specs
+of one shape (a base instance and its elevated variants) share one read-only
+copy.  The values are the spec's own, filled by ``spec._values(masks, k)``.
+
 The order is by size, then by the sorted member tuple, so the sets of size s
 are each set P of size s - 1, in order, followed by its children P + x for
 every x > last(P) (the largest item of P, -1 for the empty set), ascending.
@@ -26,7 +31,10 @@ is P's first child's rank less last(P) + 1.  A row of ``extend`` is then
 where R = extend[parent(P), b], read from the level before, is parent(P) + b,
 so P + b is R + last(P) with last(P) > last(R).  Each level's masks are its
 parents' masks OR-ed with one bit each, on object arrays of Python ints.  The
-values are one ``spec._value`` call per set.
+values are one ``spec._value`` call per set unless the family fills them in
+bulk: ``Tabular`` looks its masks up in one pass, and the harmonic families
+fill each level with one value, then set its prefix set (the level's first
+rank) and the planted chain's sets.
 
 Submodularity is checked through the pairwise condition
 
@@ -42,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -64,7 +72,9 @@ class FeasibleTable:
     """The sets of size <= k, indexed by their rank in ``sort_key`` order.
 
     ``extend[r, b]`` is the rank of ``masks[r] + b`` for every r with
-    |masks[r]| < k, and -1 when b is already in ``masks[r]``.
+    |masks[r]| < k, and -1 when b is already in ``masks[r]``.  ``masks`` and
+    the read-only ``extend`` are shared with the tables of other specs over
+    the same (n, k); ``values`` is this spec's own.
     """
 
     n: int
@@ -122,14 +132,16 @@ def value_table(spec: SetFunction, k: int) -> FeasibleTable:
     key = ("value_table", k)
     if key not in spec.memo:
         masks, extend = _ranked_sets(spec.n, k)
-        values = np.fromiter(map(spec._value, masks), dtype=float, count=len(masks))
-        spec.memo[key] = FeasibleTable(spec.n, masks, values, extend)
+        spec.memo[key] = FeasibleTable(spec.n, masks, spec._values(masks, k), extend)
     return spec.memo[key]
 
 
+# one index at (19, 19) is about 60 MB, so only the last shape built is kept
+@lru_cache(maxsize=1)
 def _ranked_sets(n: int, k: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """The masks of size <= k in ``sort_key`` order and their extend table,
-    built one level at a time from the level below (see the module docstring)."""
+    """The masks of size <= k in ``sort_key`` order and their read-only
+    extend table, built one level at a time from the level below (see the
+    module docstring)."""
     extend = np.empty((feasible_count(n, k - 1), n), dtype=np.int32)
     origin = np.empty(len(extend), dtype=np.int32)  # the rank of P + x, less x
     items = np.arange(n, dtype=np.int32)
@@ -160,6 +172,7 @@ def _ranked_sets(n: int, k: int) -> tuple[tuple[int, ...], np.ndarray]:
         masks.extend(level_masks.tolist())
         parent += lo
         lo = hi
+    extend.flags.writeable = False
     return tuple(masks), extend
 
 

@@ -275,11 +275,12 @@ def test_a_run_never_evaluates_the_spec_after_set_up(tmp_path, monkeypatch):
     cfg = config_from_json(doc)
     benchmark_summary(cfg.function, cfg.k)
 
-    def evaluated(self, mask):
+    def evaluated(self, *args):
         pytest.fail("the spec was evaluated")
 
     monkeypatch.setattr(SetFunction, "value_of_mask", evaluated)
     monkeypatch.setattr(type(cfg.function), "_value", evaluated)
+    monkeypatch.setattr(type(cfg.function), "_values", evaluated)
     got = run_experiment(cfg, output_dir=tmp_path / "b")
     for a, b in zip(expected, got):
         assert a.read_bytes() == b.read_bytes()
@@ -326,14 +327,20 @@ def test_a_runs_memory_does_not_grow_with_its_horizon(tmp_path):
     assert peak(50_000) - short <= 256 * 1024
 
 
+def _spy_on_values(monkeypatch, cls) -> list:
+    """Record every evaluation of a ``cls`` spec, one mask at a time or a
+    table's masks in bulk."""
+    calls = []
+    monkeypatch.setattr(cls, "_value", lambda self, mask: calls.append(mask))
+    monkeypatch.setattr(cls, "_values", lambda self, masks, k: calls.extend(masks))
+    return calls
+
+
 def test_run_experiment_resource_guards(tmp_path, monkeypatch):
     big = harmonic_base(27, 9)  # 8,192,524 feasible sets, over the budget
     doc = _base_doc(function=big.to_json(), n=27, k=9)
     cfg = config_from_json(doc)
-    calls = []
-    monkeypatch.setattr(
-        type(cfg.function), "_value", lambda self, mask: calls.append(mask)
-    )
+    calls = _spy_on_values(monkeypatch, type(cfg.function))
     with pytest.raises(GroundSetTooLarge):
         run_experiment(cfg, output_dir=tmp_path / "big")
     assert calls == []  # the budget is checked before any value is computed
@@ -344,8 +351,7 @@ def test_run_experiment_resource_guards(tmp_path, monkeypatch):
     long = UniqueGreedyPath(999_999, 1, 0.1)
     doc = _base_doc(function=long.to_json(), n=999_999, k=1)
     cfg = config_from_json(doc)
-    calls = []
-    monkeypatch.setattr(UniqueGreedyPath, "_value", lambda self, mask: calls.append(mask))
+    calls = _spy_on_values(monkeypatch, UniqueGreedyPath)
     with pytest.raises(GroundSetTooLarge):
         run_experiment(cfg, output_dir=tmp_path / "long")
     assert calls == []
@@ -359,10 +365,7 @@ def test_run_experiment_resource_guards(tmp_path, monkeypatch):
         function=wide.to_json(), n=24, k=12, policies=[{"kind": "ucb_all"}]
     )
     cfg = config_from_json(doc)
-    calls = []
-    monkeypatch.setattr(
-        type(cfg.function), "_value", lambda self, mask: calls.append(mask)
-    )
+    calls = _spy_on_values(monkeypatch, type(cfg.function))
     with pytest.raises(GroundSetTooLarge):
         run_experiment(cfg, output_dir=tmp_path / "wide")
     assert calls == []

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from submodbandit import (
     ItemSet,
     Tabular,
     UniqueGreedyPath,
+    WeightedCover,
     approx_ratio,
     check_monotone,
     check_submodular,
@@ -25,7 +28,7 @@ from submodbandit import (
     tabular_from_spec,
     value_table,
 )
-from submodbandit.catalog import experiment_cover, harmonic_base
+from submodbandit.catalog import experiment_cover, harmonic_base, harmonic_elevated
 from submodbandit.errors import GroundSetTooLarge
 from submodbandit.sets import feasible_count
 from submodbandit.structure import MAX_TABLE_BITS
@@ -170,6 +173,49 @@ def test_feasible_table_is_ranked_index_at_every_small_shape(n, data):
     _assert_ranked_index(n, data.draw(st.integers(min_value=0, max_value=n)))
 
 
+def _harmonic_family(n, k, delta, seed):
+    # the unique path, the harmonic base and one elevated instance per
+    # prefix_len the ground set has room for, each with a shuffled tail
+    rng = np.random.default_rng(seed)
+    yield UniqueGreedyPath(n, k, delta)
+    yield HarmonicInstance(n, k, delta)
+    for prefix_len in range(k + 1):
+        if n - k >= k - prefix_len:
+            tail = rng.choice(np.arange(k, n), k - prefix_len, replace=False)
+            yield HarmonicInstance(n, k, delta, prefix_len, tuple(tail.tolist()))
+
+
+# (70, 2): masks past int64; prefix_len == k plants the prefix chain itself
+@pytest.mark.parametrize("n, k", [(1, 1), (4, 2), (6, 3), (9, 4), (12, 5), (70, 2)])
+@pytest.mark.parametrize("tight", [False, True], ids=["delta=0.01", "delta=1/(8k^2)"])
+def test_table_values_equal_the_per_mask_loop(n, k, tight):
+    delta = 1 / (8 * k * k) if tight else 0.01
+    specs = [*_harmonic_family(n, k, delta, seed=n + k), random_monotone_submodular(n, n, k)]
+    if n <= 12:
+        specs.append(WeightedCover(n, tuple((a,) for a in range(n)), (1 / n,) * n))
+    for spec in specs:
+        for size in range(spec.k_max + 1):
+            table = value_table(spec, size)
+            per_mask = np.fromiter(map(spec._value, table.masks), float, len(table.masks))
+            assert table.values.tobytes() == per_mask.tobytes(), (spec, size)
+
+
+def test_specs_of_one_shape_share_one_read_only_index():
+    base, elevated = value_table(harmonic_base(9, 3), 3), value_table(harmonic_elevated(9, 3), 3)
+    assert base.masks is elevated.masks and base.extend is elevated.extend
+    assert base.values.tobytes() != elevated.values.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        base.extend[0, 0] = 0
+    # only the last shape's index is kept: once no table holds it, the index
+    # of (9, 3) is freed after (8, 3) and (7, 3) are built
+    index = weakref.ref(base.extend)
+    del base, elevated
+    value_table(harmonic_base(8, 3), 3)
+    value_table(harmonic_base(7, 3), 3)
+    gc.collect()
+    assert index() is None
+
+
 def test_ground_set_guard(monkeypatch):
     for spec, k in [
         (harmonic_base(27, 9), 9),  # 8,192,524 sets of size <= 9 over 27 items
@@ -178,6 +224,7 @@ def test_ground_set_guard(monkeypatch):
         assert feasible_count(spec.n, k) * spec.n > MAX_TABLE_BITS
         calls = []
         monkeypatch.setattr(type(spec), "_value", lambda self, mask: calls.append(mask))
+        monkeypatch.setattr(type(spec), "_values", lambda self, masks, k: calls.extend(masks))
         with pytest.raises(GroundSetTooLarge):
             check_monotone(spec, k)
         with pytest.raises(GroundSetTooLarge):
