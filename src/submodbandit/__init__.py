@@ -58,7 +58,6 @@ from .structure import (
     check_monotone,
     check_submodular,
     curvature,
-    tabular_from_spec,
     value_table,
 )
 
@@ -106,6 +105,5 @@ __all__ = [
     "regret_report",
     "spec_from_json",
     "subucb_regret_bound",
-    "tabular_from_spec",
     "value_table",
 ]

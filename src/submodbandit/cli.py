@@ -13,7 +13,9 @@ Subcommands:
 * ``bounds N K T``      -- closed-form evaluators (``--l`` to fix the stop
                            level, ``--json`` for machine-readable output).
 * ``plot RESULTS OUT``  -- static SVG of mean final regret per policy vs T.
-* ``instance TARGET``   -- dump the full value table of a spec as CSV.
+* ``instance TARGET``   -- dump the full value table of a spec as CSV, and
+                           write its optimum, greedy chain, curvature,
+                           benchmark B and cheapest chain to stderr.
 
 Exit codes: 0 success, 1 verification failure, 2 input error (any
 ValueError, of which ConfigError is one), 3 resource guard (GroundSetTooLarge:
@@ -31,9 +33,10 @@ from .analysis import compute_bounds
 from .catalog import builtin_instances
 from .errors import ConfigError, GroundSetTooLarge
 from .experiments import load_config, read_json, run_experiment
-from .functions import SetFunction, is_int, spec_from_json
+from .functions import SetFunction, evaluate, is_int, spec_from_json
+from .greedy import GreedyChain, brute_force_opt, exact_greedy, greedy_benchmark
 from .sets import render_mask
-from .structure import value_table
+from .structure import curvature, value_table
 from .svgplot import render_results_svg
 from .verify import all_ok, format_table, run_checks
 
@@ -123,13 +126,31 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
+def _chain_text(chain: GreedyChain) -> str:
+    return " > ".join("{" + level.render() + "}" for level in chain.levels)
+
+
 def cmd_instance(args) -> int:
     label, spec, k = _load_target(args.target)
     table = value_table(spec, k)
     values = dict(zip(table.masks, table.values.tolist()))
+    # every value first, so a refused target prints nothing
+    opt_set, f_star = brute_force_opt(spec, k)
+    chain = exact_greedy(spec, k)
+    bench = greedy_benchmark(spec, k)
+    slacks = [round(e, 10) for e in bench.chain.eps]
+    summary = [
+        f"optimum      : {{{opt_set.render()}}} = {f_star:.12g}",
+        f"greedy chain : {_chain_text(chain)}",
+        f"greedy value : {evaluate(spec, chain.final_set()):.12g}",
+        f"curvature    : {curvature(spec, k):.12g}",
+        f"benchmark B  : {bench.value:.12g}",
+        f"cheapest chain: {_chain_text(bench.chain)}  slacks {slacks}",
+    ]
     print("set,value")
     for mask in sorted(values, key=lambda m: (m.bit_count(), render_mask(m))):
         print(f'"{render_mask(mask)}",{values[mask]:.17g}')
+    print("\n".join(summary), file=sys.stderr)
     return EXIT_OK
 
 
@@ -163,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("out", help="output SVG path")
     p_plot.set_defaults(func=cmd_plot)
 
-    p_inst = sub.add_parser("instance", help="dump a spec's value table as CSV")
+    p_inst = sub.add_parser("instance", help="dump a spec's value table and benchmark")
     p_inst.add_argument("target", help="built-in name or JSON path")
     p_inst.set_defaults(func=cmd_instance)
 

@@ -145,9 +145,6 @@ class Tabular(SetFunction):
     def _value(self, mask: int) -> float:
         return self.table[mask]
 
-    def _values(self, masks: tuple[int, ...], k: int) -> np.ndarray:
-        return np.fromiter(map(self.table.__getitem__, masks), float, len(masks))
-
     def to_json(self) -> dict:
         table = {
             render_mask(mask): v

@@ -74,10 +74,6 @@ class GreedyChain:
         if any(e < 0 for e in self.eps):
             raise ValueError("slacks must be nonnegative")
 
-    @property
-    def k(self) -> int:
-        return len(self.levels)
-
     def final_set(self) -> ItemSet:
         return self.levels[-1] if self.levels else ItemSet.empty()
 
@@ -186,11 +182,17 @@ def enumerate_benchmark(spec: SetFunction, k: int) -> BenchmarkResult:
     rather than the exact minimum.
     """
     table = value_table(spec, k)
-    if math.perm(spec.n, k) > FULL_ENUM_CAP:
-        cost, order = _sampled_min(table, _sample(spec.n, k))
-    else:
+    if costs_every_order(spec.n, k):
         cost, order = _exhaustive_min(table, k)
+    else:
+        cost, order = _sampled_min(table, _sample(spec.n, k))
     return BenchmarkResult(cost, chain_from_order(spec, k, order))
+
+
+def costs_every_order(n: int, k: int) -> bool:
+    """Whether ``enumerate_benchmark`` costs every order of k of n items (at
+    most FULL_ENUM_CAP of them) rather than its seeded sample."""
+    return math.perm(n, k) <= FULL_ENUM_CAP
 
 
 def _children(table: FeasibleTable, ranks: np.ndarray, costs: np.ndarray):

@@ -58,6 +58,8 @@ from .structure import FeasibleTable, value_table
 MAX_BATCH_CELLS = 2**20
 # envs times steps of one block of scheduled pulls, which bounds its temporaries
 BLOCK_CELLS = 2**8
+# an arm's index is mean + sqrt(BONUS_SCALE * ln t / pulls)
+BONUS_SCALE = 8.0
 # envs times steps of one chunk of the step record (0.5 MB per record array)
 CHUNK_CELLS = 2**16
 # envs times arms outside a window from which index steps run on candidate
@@ -199,7 +201,7 @@ class Lockstep:
     def _index_argmax(self, t: int) -> np.ndarray:
         """Each row's index argmax at step t, over every arm: the path of
         narrow batches, and the fallback of a candidate window."""
-        return _index(8.0 * math.log(t), self.counts, self.means, self.buf).argmax(axis=1)
+        return _index(BONUS_SCALE * math.log(t), self.counts, self.means, self.buf).argmax(axis=1)
 
     def _window(self, t: int, end: int, sched: np.ndarray) -> tuple:
         """Open a candidate window for the index steps t .. end - 1: copy
@@ -213,7 +215,7 @@ class Lockstep:
         most one new cell per step from cell pos // rep on, so its
         candidates are the cells from there (or the last ones), and its tau
         is -inf: its answer is never read."""
-        bonus = max(8.0 * math.log(s) for s in range(t, end))
+        bonus = max(BONUS_SCALE * math.log(s) for s in range(t, end))
         bound = _index(bonus, self.counts, self.means, self.buf)
         order = bound.argpartition(-WINDOW_ARMS - 1, axis=1)
         tau = bound[self.rows, order[:, -WINDOW_ARMS - 1]]
@@ -233,7 +235,7 @@ class Lockstep:
         candidate is above its tau.  Then no other arm reaches it, and the
         candidates' first maximum (they are in position order) is the dense
         argmax, ties included."""
-        index = _index(8.0 * math.log(t), self.part[2], self.part[3], self.part_buf)
+        index = _index(BONUS_SCALE * math.log(t), self.part[2], self.part[3], self.part_buf)
         at = self.part_row0 + index.argmax(axis=1)
         if np.count_nonzero(index.reshape(-1)[at] > window[2]) < at.size:
             return None

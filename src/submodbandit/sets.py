@@ -52,7 +52,7 @@ class ItemSet:
 
     def render(self) -> str:
         """Sorted comma-joined indices; the empty set renders as ''."""
-        return ",".join(str(a) for a in self.members())
+        return render_mask(self.mask)
 
     @classmethod
     def parse(cls, text: str) -> "ItemSet":

@@ -32,9 +32,8 @@ where R = extend[parent(P), b], read from the level before, is parent(P) + b,
 so P + b is R + last(P) with last(P) > last(R).  Each level's masks are its
 parents' masks OR-ed with one bit each, on object arrays of Python ints.  The
 values are one ``spec._value`` call per set unless the family fills them in
-bulk: ``Tabular`` looks its masks up in one pass, and the harmonic families
-fill each level with one value, then set its prefix set (the level's first
-rank) and the planted chain's sets.
+bulk: the harmonic families fill each level with one value, then set its
+prefix set (the level's first rank) and the planted chain's sets.
 
 Submodularity is checked through the pairwise condition
 
@@ -55,7 +54,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import GroundSetTooLarge
-from .functions import SetFunction, Tabular
+from .functions import SetFunction
 from .sets import ItemSet, feasible_count
 
 # feasible sets times n: the bits of all masks, and a bound on every per-item
@@ -174,13 +173,6 @@ def _ranked_sets(n: int, k: int) -> tuple[tuple[int, ...], np.ndarray]:
         lo = hi
     extend.flags.writeable = False
     return tuple(masks), extend
-
-
-def tabular_from_spec(spec: SetFunction, k: int) -> Tabular:
-    """Materialize any spec as an explicit Tabular copy up to cardinality k,
-    read off ``value_table`` and so refused by its size guard."""
-    table = value_table(spec, k)
-    return Tabular(spec.n, k, dict(zip(table.masks, table.values.tolist())))
 
 
 @dataclass(frozen=True)

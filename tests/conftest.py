@@ -2,7 +2,8 @@
 
 ``masks_upto`` is the reference order of the feasible-set table: every mask
 of popcount <= k by size, then by sorted member tuple, straight from
-``itertools.combinations``.
+``itertools.combinations``.  ``tabular_from_spec`` copies any spec into an
+explicit ``Tabular``.
 
 The naive checkers quantify over every (A, B, a) triple straight from the
 definitions; they are deliberately independent of the package's vectorized
@@ -16,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from submodbandit import ItemSet, Tabular
+from submodbandit import ItemSet, Tabular, value_table
 
 
 def masks_upto(n: int, k: int):
@@ -24,6 +25,13 @@ def masks_upto(n: int, k: int):
     for size in range(k + 1):
         for combo in combinations(range(n), size):
             yield sum(1 << a for a in combo)
+
+
+def tabular_from_spec(spec, k: int) -> Tabular:
+    """Materialize any spec as an explicit Tabular copy up to cardinality k,
+    read off ``value_table`` and so refused by its size guard."""
+    table = value_table(spec, k)
+    return Tabular(spec.n, k, dict(zip(table.masks, table.values.tolist())))
 
 
 def random_monotone_submodular(seed: int, n: int, k: int) -> Tabular:

@@ -90,6 +90,9 @@ def test_upper_bound_structure():
     assert val == pytest.approx(first + second + 32 / 15, rel=1e-12)
     # monotone in T
     assert subucb_regret_bound(10, 3, 2, 2000) > subucb_regret_bound(10, 3, 2, 1000)
+    for n, k, l, T in [(5, 2, 3, 100), (5, 5, 0, 100), (5, 2, 1, 1)]:
+        with pytest.raises(ValueError, match=r"need 0 <= l <= k < n and T >= 2"):
+            subucb_regret_bound(n, k, l, T)
 
 
 def test_compute_bounds_sheet():
@@ -191,6 +194,8 @@ def test_kl_basics():
     assert kl_between(h0, h0, {ItemSet.of([0, 1]): 500}, 1.0) == 0.0
     with pytest.raises(ValueError, match="sigma must be positive; got 0.0"):
         kl_between(h0, h1, counts, 0.0)
+    with pytest.raises(ValueError, match="counts must be nonnegative"):
+        kl_between(h0, h1, {ItemSet.of([2]): -1}, 1.0)
 
 
 def test_kl_fixed_gap_value():

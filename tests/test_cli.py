@@ -98,6 +98,12 @@ def test_verify_non_monotone_table_fails_without_traceback(tmp_path, capsys):
     assert rows["curvature_in_range"] == ["FAIL", "c=11"]
     assert rows["greedy_guarantee"][0] == "FAIL" and "c=11 outside [0, 1]" in rows["greedy_guarantee"][1]
     assert rows["benchmark_dp_vs_enum"][0] == "PASS"
+    # instance computes no ratio: it reports c = 11 and exits 0
+    code, out, err = run_cli(capsys, "instance", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == '"0,1",0.40000000000000002'
+    assert "curvature    : 11\n" in err
+    assert "cheapest chain: {0} > {0,1}  slacks [0.0, 0.0]" in err
 
 
 @pytest.mark.parametrize("command", ["verify", "instance"])
@@ -153,6 +159,7 @@ def _spec_file_doc(case):
         "unknown-key": {"function": dict(cover, bogus=1), "k": 1},
         "weight-inf": dict(cover, weights=[0.5, float("inf")]),
         "table-key": {"kind": "tabular", "n": 1, "k_max": 1, "table": {"": 0.0, "00": 0.5}},
+        "table-key-text": {"kind": "tabular", "n": 1, "k_max": 1, "table": {"": 0.0, "a": 0.5}},
     }
     return docs[case]
 
@@ -171,6 +178,7 @@ def _spec_file_doc(case):
         ("unknown-key", "'bogus'"),
         ("weight-inf", "'weights'"),
         ("table-key", "'table'"),
+        ("table-key-text", "'table'"),
     ],
 )
 def test_malformed_spec_file_exit_2(tmp_path, capsys, command, case, field):
@@ -209,6 +217,21 @@ def test_instance_cover_row(capsys):
     assert '"14",0.59999999999999998' in out
 
 
+def test_instance_reports_the_benchmark_chain(capsys):
+    # the DP's cheapest chain leaves the prefix: {0} > {0,3} > {0,1,3}
+    code, out, err = run_cli(capsys, "instance", "harmonic-elevated-9-3")
+    assert code == 0
+    assert out.startswith("set,value\n") and out.count("\n") == 1 + 130  # sets of size <= 3
+    assert err.splitlines() == [
+        "optimum      : {3,4,5} = 0.630555555556",
+        "greedy chain : {3} > {3,4} > {3,4,5}",
+        "greedy value : 0.630555555556",
+        "curvature    : 0.407407407407",
+        "benchmark B  : 0.612037037037",
+        "cheapest chain: {0} > {0,3} > {0,1,3}  slacks [0.0046296296, 0.0046296296, 0.0]",
+    ]
+
+
 def test_plot_svg(tmp_path, capsys):
     results = tmp_path / "results.csv"
     header = "policy,T,trial,seed,checkpoint_t,cum_reward,regret_opt,regret_alpha,regret_gr"
@@ -218,6 +241,7 @@ def test_plot_svg(tmp_path, capsys):
             for trial in (0, 1):
                 regret = {"etcg": 1.0, "ucb_all": 2.0}[policy] * T + trial
                 rows.append(f"{policy},{T},{trial},1,{T},0.5,{regret},{regret},{regret}")
+    rows.insert(2, "")  # a blank row is skipped
     results.write_text("\n".join(rows) + "\n")
     out_svg = tmp_path / "chart.svg"
     code, _, _ = run_cli(capsys, "plot", str(results), str(out_svg))
@@ -249,9 +273,18 @@ def test_plot_empty_csv(tmp_path, capsys):
 def test_plot_malformed_rows(tmp_path, capsys):
     results = tmp_path / "results.csv"
     header = "policy,T,trial,seed,checkpoint_t,cum_reward,regret_opt,regret_alpha,regret_gr"
-    results.write_text(header + "\netcg,notanumber,0,1,10,0,0,0,0\n")
-    code, _, _ = run_cli(capsys, "plot", str(results), str(tmp_path / "x.svg"))
-    assert code == 2
+    row = "etcg,10,0,1,10,0,0,0,0"
+    cases = [
+        (f"{header}\netcg,notanumber,0,1,10,0,0,0,0\n", "malformed row"),
+        (f"{header}\n{row[:-2]}\n", "malformed row"),  # a short row
+        (f"{header.replace('trial', 'run')}\n{row}\n", "unexpected results header"),
+        (f"{header}\n\n", "no data rows"),  # the blank row is skipped
+    ]
+    for text, fragment in cases:
+        results.write_text(text)
+        code, _, err = run_cli(capsys, "plot", str(results), str(tmp_path / "x.svg"))
+        assert code == 2
+        assert fragment in err
 
 
 def test_run_end_to_end(tmp_path, capsys):

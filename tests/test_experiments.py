@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_monotone_submodular
-from submodbandit import experiments, lockstep, tabular_from_spec
+from conftest import random_monotone_submodular, tabular_from_spec
+from submodbandit import experiments, lockstep
 from submodbandit.analysis import benchmark_summary, regret_report
 from submodbandit.catalog import experiment_cover, harmonic_base, harmonic_elevated
 from submodbandit.envs import BanditEnv
@@ -64,6 +64,8 @@ def test_config_roundtrip_and_defaults():
             {"policies": [{"kind": "etcg"}, {"kind": "etcg"}]},
             "labels",
         ),
+        ({"T_grid": [16, 16]}, "T_grid"),
+        ({"checkpoints": "lin"}, "checkpoints"),
     ],
 )
 def test_config_validation_errors(patch, fragment):
@@ -77,6 +79,8 @@ def test_missing_field_named():
     del doc["trials"]
     with pytest.raises(ConfigError, match="trials"):
         config_from_json(doc)
+    with pytest.raises(ConfigError, match="a config must be a JSON object"):
+        config_from_json([doc])
 
 
 def test_load_config_reports_json_line(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import tabular_from_spec
 from submodbandit import (
     HarmonicInstance,
     ItemSet,
@@ -14,7 +15,6 @@ from submodbandit import (
     evaluate,
     harmonic_tail,
     spec_from_json,
-    tabular_from_spec,
 )
 from submodbandit.catalog import experiment_cover
 
@@ -60,6 +60,8 @@ def test_harmonic_validation():
         HarmonicInstance(6, 2, 1 / 32, 0, (1, 3))  # tail below k
     with pytest.raises(ValueError):
         HarmonicInstance(6, 2, 1 / 32, 1, (2, 3))  # wrong tail length
+    with pytest.raises(ValueError, match="prefix_len and tail must be given together"):
+        HarmonicInstance(6, 2, 1 / 32, 0)
     with pytest.raises(ValueError):
         HarmonicInstance(6, 2, -0.5)
 
@@ -83,6 +85,11 @@ def test_weighted_cover_validation():
         WeightedCover(3, ((0, 0, 1), (2,)), (0.5, 0.5))  # repeated item
     with pytest.raises(ValueError, match="blocks"):
         WeightedCover(3, ((0, 1), (), (2,)), (0.5, 0.0, 0.5))  # empty block
+    with pytest.raises(ValueError, match=r"block item 3 outside \[0, 3\)"):
+        WeightedCover(3, ((0, 1), (2, 3)), (0.5, 0.5))
+    for weight in (math.inf, -0.1):
+        with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+            WeightedCover(2, ((0,), (1,)), (0.5, weight))
 
 
 def test_unique_greedy_path_values():
@@ -109,6 +116,10 @@ def test_tabular_validation():
         Tabular(2, 1, {0: 0.0, 1: 1.5, 2: 0.1})  # out of range
     with pytest.raises(ValueError):
         Tabular(2, 1, {0: 0.3, 1: 0.5, 2: 0.1})  # empty set must be 0
+    with pytest.raises(ValueError, match="table key 2 exceeds n=2"):
+        Tabular(2, 1, {0: 0.0, 1: 0.5, 4: 0.1})  # item 2 >= n
+    with pytest.raises(ValueError, match="table key 0,1 larger than k_max=1"):
+        Tabular(2, 1, {0: 0.0, 1: 0.5, 3: 0.1})  # a pair above k_max
     t = Tabular(2, 1, {0: 0.0, 1: 0.5, 2: 0.1})
     assert evaluate(t, ItemSet.of([0])) == 0.5
 

@@ -78,6 +78,8 @@ def test_greedy_chain_validation():
         GreedyChain((ItemSet.of([0]), ItemSet.of([1, 2])), (0.0, 0.0))
     with pytest.raises(ValueError):
         GreedyChain((ItemSet.of([0]),), (-0.1,))
+    with pytest.raises(ValueError, match="one slack entry per level"):
+        GreedyChain((ItemSet.of([0]),), (0.0, 0.0))
 
 
 def test_brute_force_opt_frozen():
@@ -232,6 +234,8 @@ def test_chain_from_order_rejects_bad_items():
             chain_from_order(spec, 2, order)
     with pytest.raises(ValueError, match="repeated"):
         chain_from_order(spec, 2, (3, 3))
+    with pytest.raises(ValueError, match="exactly k=2 items"):
+        chain_from_order(spec, 2, (3,))
 
 
 def test_benchmark_witness_is_feasible():

@@ -24,6 +24,24 @@ def test_no_import_inside_a_function():
     assert sorted(found) == []
 
 
+def test_package_exports_exactly_what_it_imports():
+    # a name dropped from one list only is a half-removed export
+    tree = _modules()["__init__"]
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    (exported,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(t.id == "__all__" for t in node.targets)
+    ]
+    assert len(set(exported)) == len(exported)
+    assert sorted(exported) == sorted(imported)
+
+
 def test_package_import_graph_is_acyclic():
     modules = _modules()
     graph = {}

@@ -374,6 +374,8 @@ def test_policy_json_roundtrip_and_default_labels():
         assert policy_from_json(doc) == policy
         assert pickle.loads(pickle.dumps(policy)) == policy
     assert policy_from_json({"kind": "etcg", "m": 3}) == EtcgPolicy(m=3, label="etcg")
+    with pytest.raises(ValueError, match="kind must be 'etcg'; got 'ucb_all'"):
+        EtcgPolicy.from_json({"kind": "ucb_all"})
 
 
 @settings(max_examples=40, deadline=None)

@@ -24,12 +24,6 @@ def run_script(name, *args, cwd):
     )
 
 
-def test_inspect_hard_instance(tmp_path):
-    proc = run_script("inspect_hard_instance.py", "--n", "6", "--k", "2", cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert "optimum" in proc.stdout and "benchmark B" in proc.stdout
-
-
 def test_reproduce_cover_experiment(tmp_path):
     out = tmp_path / "cover"
     proc = run_script(

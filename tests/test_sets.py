@@ -38,6 +38,10 @@ def test_render_empty_and_parse():
     assert ItemSet.parse("0,3,5").members() == (0, 3, 5)
     with pytest.raises(ValueError):
         ItemSet.parse("1,1")
+    with pytest.raises(ValueError, match="mask must be nonnegative"):
+        ItemSet(-1)
+    with pytest.raises(ValueError, match="negative item index -1"):
+        ItemSet.of([0, -1])
 
 
 def test_immutable():

@@ -13,6 +13,7 @@ from conftest import (
     naive_is_monotone,
     naive_is_submodular,
     random_monotone_submodular,
+    tabular_from_spec,
 )
 from submodbandit import (
     HarmonicInstance,
@@ -25,7 +26,6 @@ from submodbandit import (
     check_submodular,
     curvature,
     evaluate,
-    tabular_from_spec,
     value_table,
 )
 from submodbandit.catalog import experiment_cover, harmonic_base, harmonic_elevated
@@ -129,6 +129,7 @@ def test_curvature_in_unit_interval_on_random_instances():
 def test_curvature_all_zero_singletons():
     spec = Tabular(2, 1, {0: 0.0, 1: 0.0, 2: 0.0})
     assert curvature(spec, 1) == 0.0
+    assert curvature(HarmonicInstance(6, 2, 1 / 32), 0) == 0.0  # no set can grow
 
 
 def test_approx_ratio():
