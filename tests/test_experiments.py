@@ -1,13 +1,17 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_monotone_submodular, tabular_from_spec
-from submodbandit import experiments, lockstep
+from submodbandit import __version__, experiments, lockstep
 from submodbandit.analysis import benchmark_summary, regret_report
 from submodbandit.catalog import experiment_cover, harmonic_base, harmonic_elevated
 from submodbandit.envs import BanditEnv
@@ -162,6 +166,68 @@ def test_run_experiment_deterministic_across_jobs(tmp_path):
         r2, m2 = run_experiment(cfg, jobs=4, output_dir=tmp_path / name / "b")
         assert r1.read_bytes() == r2.read_bytes()
         assert m1.read_bytes() == m2.read_bytes()
+
+
+def test_a_tabular_manifest_echoes_its_table(tmp_path):
+    spec = random_monotone_submodular(5, n=7, k=3)
+    doc = _base_doc(
+        function=spec.to_json(),
+        n=7,
+        k=3,
+        T_grid=[20, 12],
+        trials=2,
+        policies=[{"kind": "sub_ucb", "l": 2, "m": 1}, {"kind": "etcg", "m": 1}],
+    )
+    cfg = config_from_json(doc)
+    # cells in (policy index, sorted T, trial) order, whatever the grid's order
+    cells = [
+        {
+            "policy": label,
+            "policy_index": p_idx,
+            "T": T,
+            "trial": trial,
+            "seed": derive_seed(7, p_idx, T, trial),
+            "l": l,
+            "m": 1,
+        }
+        for p_idx, (label, l) in enumerate((("sub_ucb_l2", 2), ("etcg", None)))
+        for T in (12, 20)
+        for trial in range(2)
+    ]
+    expected = {"artifact_version": __version__, "config": cfg.to_json(), "cells": cells}
+    _, serial = run_experiment(cfg, jobs=1, output_dir=tmp_path / "serial")
+    _, pooled = run_experiment(cfg, jobs=2, output_dir=tmp_path / "pooled")
+    assert serial.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert serial.read_bytes() == pooled.read_bytes()
+    echo = json.loads(serial.read_text())["config"]["function"]
+    assert config_from_json(dict(doc, function=echo)).function.to_json() == spec.to_json()
+
+
+_SERIAL_RUN = """
+import json, sys
+from submodbandit.cli import main
+code = main(["run", sys.argv[1], "--jobs", "1", "--out", sys.argv[2]])
+pool = [m for m in sys.modules if m.startswith(("multiprocessing", "concurrent.futures.process"))]
+print(json.dumps([code, sorted(pool)]))
+"""
+
+
+def test_a_serial_run_never_loads_the_process_pool(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_base_doc(trials=2)))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SERIAL_RUN, str(config), str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+    assert len((tmp_path / "out" / "results.csv").read_text().splitlines()) == 1 + 2 * 5
 
 
 def test_run_experiment_rejects_jobs_below_one(tmp_path, monkeypatch):
