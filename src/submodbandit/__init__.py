@@ -1,8 +1,9 @@
 """Simulation lab for bandit maximization of monotone submodular functions.
 
 Exact set-function oracles and structural checkers, greedy and robust-greedy
-benchmarks, seeded noisy environments, three bandit policies and a
-reproducible experiment harness.
+benchmarks, seeded noisy environments, one bandit policy type with three
+kinds (``sub_ucb``, ``etcg``, ``ucb_all``) and a reproducible experiment
+harness.
 """
 
 __version__ = "0.1.0"
@@ -44,12 +45,7 @@ from .greedy import (
     exact_greedy,
     greedy_benchmark,
 )
-from .policies import (
-    EtcgPolicy,
-    SubUcbPolicy,
-    UcbAllPolicy,
-    policy_from_json,
-)
+from .policies import Policy, policy_from_json
 from .sets import ItemSet
 from .structure import (
     MonotoneResult,
@@ -67,19 +63,17 @@ __all__ = [
     "BenchmarkSummary",
     "BoundsSheet",
     "CheckpointRow",
-    "EtcgPolicy",
     "GreedyChain",
     "GuaranteeResult",
     "HarmonicInstance",
     "ItemSet",
     "MonotoneResult",
+    "Policy",
     "RegretReport",
     "SetFunction",
-    "SubUcbPolicy",
     "SubmodularResult",
     "Tabular",
     "Trajectory",
-    "UcbAllPolicy",
     "UniqueGreedyPath",
     "WeightedCover",
     "approx_ratio",

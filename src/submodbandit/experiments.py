@@ -29,7 +29,7 @@ from .analysis import RegretMeter, benchmark_summary
 from .envs import BanditEnv
 from .errors import ConfigError
 from .functions import SetFunction, is_finite_number, is_int, spec_from_json
-from .lockstep import greedy_then_flat
+from .lockstep import MAX_T, greedy_then_flat
 from .policies import Policy, policy_from_json
 from .svgplot import RESULTS_HEADER
 
@@ -69,8 +69,9 @@ def config_from_json(doc: dict) -> ExperimentConfig:
 
     A key that is not one of the config's fields is rejected.  Every scalar
     must have its JSON type (integers are never bools, floats or strings),
-    and every policy is resolved at every horizon, so a config that passes
-    here cannot fail later on its own values.  Only the resource guard is
+    every horizon must fit the run's step counters (``lockstep.MAX_T``) and
+    every policy is resolved at every horizon, so a config that passes here
+    cannot fail later on its own values.  Only the resource guard is
     left to ``run_experiment``.
     """
     if not isinstance(doc, dict):
@@ -117,6 +118,11 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     sigma = float(sigma)
 
     T_grid = integers("T_grid", need("T_grid"))
+    if max(T_grid) > MAX_T:
+        raise ConfigError(
+            f"field 'T_grid': need horizons <= {MAX_T}, which the step counters hold; "
+            f"got {max(T_grid)}"
+        )
 
     raw_policies = need("policies")
     if not isinstance(raw_policies, (list, tuple)) or not raw_policies:

@@ -75,6 +75,9 @@ WINDOW_CELLS = 2**12
 # keeps its pulls inside its window.  64 steps open half the windows of 32,
 # and on cover15 and harmonic_elevated(20, 5) ran 1.1-1.6x faster than 64/32
 WINDOW_ARMS, WINDOW_STEPS = 64, 64
+# the longest run: a schedule's length and repeats are at most T + 1, which
+# the int64 step counters must hold
+MAX_T = int(np.iinfo(np.int64).max) - 1
 
 
 def phase_arms(table: FeasibleTable, base: int, size: int) -> np.ndarray:
@@ -173,7 +176,9 @@ class Lockstep:
         arms = self.phases[base]
         size = arms.size
         if greedy:
-            rep, lim = (self.m if self.uniform or level == 0 else 1), self.m
+            # a phase ends by step T, so an m or a schedule past it acts as T + 1
+            m = min(self.m, self.T + 1)
+            rep, lim = (m if self.uniform or level == 0 else 1), m
         elif size == 1:
             rep, lim = self.T, math.inf
         else:
@@ -186,7 +191,7 @@ class Lockstep:
         self.sums[r] = 0.0
         self.means[r] = -np.inf
         self.means[r, :size] = 0.0
-        self.pos[r], self.slen[r], self.rep[r] = 0, size * rep, rep
+        self.pos[r], self.slen[r], self.rep[r] = 0, min(size * rep, self.T + 1), rep
         self.lim[r], self.by_mean[r] = lim, greedy and self.uniform
 
     def _close(self, r: int, j: int, s: int) -> None:

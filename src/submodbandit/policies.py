@@ -1,16 +1,18 @@
 """Bandit policies over cardinality-constrained subsets.
 
-Each policy is one frozen dataclass that owns its whole protocol:
+A policy is one frozen dataclass, ``Policy(kind, l, m, label)``, that owns
+its whole protocol.  Its kind is one of three, and ``_KINDS`` lists the keys
+each kind takes besides ``kind``:
 
-* ``from_json`` / ``to_json`` -- the config form ``{"kind": ..., ...}``.
-  Keys other than the kind, the policy's own fields and ``label`` are
-  rejected, as are an ``l`` that is neither ``"auto"`` nor an integer and
-  an ``m`` that is not an integer >= 1.  ``policy_from_json`` dispatches
-  on ``kind``.
+* ``policy_from_json`` / ``to_json`` -- the config form
+  ``{"kind": ..., ...}``.  An unknown kind, a key the kind does not take, an
+  ``l`` that is neither ``"auto"`` nor an integer, an ``m`` that is not an
+  integer >= 1 and a label that is not a nonempty string raise ValueError,
+  in the constructor too.
 * ``label`` -- defaults to ``sub_ucb_auto``, ``sub_ucb_l{l}``, ``etcg`` or
   ``ucb_all``.
 * ``resolve(n, k, T) -> (l, m)`` -- the stop level and per-arm budget used at
-  horizon T (None where the policy has none).  It raises ValueError before
+  horizon T (None where the kind has none).  It raises ValueError before
   any pull.
 * ``program(n, k, T) -> (l, m, uniform)`` -- the phases that run; policies
   with one program make the same run.
@@ -32,12 +34,16 @@ of them by one of two sampling rules:
   until the index argmax already has m pulls, and keep that argmax.
 
 Level 1 always samples uniformly, so an optimistic level 1 applies the index
-rule to m samples of every singleton.  The three policies:
+rule to m samples of every singleton.  The three kinds:
 
-* ``SubUcbPolicy`` -- ``l`` optimistic levels, then the flat phase.
-* ``EtcgPolicy`` -- explore-then-commit greedy: ``l = k`` uniform levels,
-  after which the flat phase has the one committed set to pull.
-* ``UcbAllPolicy`` -- ``l = 0``: the flat phase over every size-k arm.
+* ``sub_ucb`` -- ``l`` optimistic levels, then the flat phase.  ``l`` is a
+  stop level in [0, k] or "auto" (derived from the horizon by
+  ``auto_stop_level``).
+* ``etcg`` -- explore-then-commit greedy: ``l = k`` uniform levels, after
+  which the flat phase has the one committed set to pull.
+* ``ucb_all`` -- ``l = 0``: the flat phase over every size-k arm.
+
+``m`` is the per-arm budget of the greedy levels (None = ``default_m``).
 
 The index of an arm is  mean + sqrt(8 * ln(t) / T_a)  with t the global count
 of completed pulls, natural logarithm and T_a the arm's pulls (UCB1's index);
@@ -56,7 +62,7 @@ so a run over budget raises GroundSetTooLarge, and a k above the spec's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .analysis import auto_stop_level, default_m
 from .envs import BanditEnv
@@ -66,54 +72,75 @@ from .sets import ItemSet
 
 AUTO = "auto"
 
+# the keys each kind takes besides "kind", in the order to_json writes them
+_KINDS = {"sub_ucb": ("l", "m", "label"), "etcg": ("m", "label"), "ucb_all": ("label",)}
 
-class _Policy:
-    """JSON form, label default, field checks and the run shared by the policies."""
 
-    uniform = False  # the greedy levels' sampling rule: uniform, else optimistic
+def _kind_keys(kind, given) -> tuple[str, ...]:
+    """The keys ``kind`` takes; ValueError if it is not a kind or if it does
+    not take a key in ``given``."""
+    keys = _KINDS.get(kind) if isinstance(kind, str) else None  # a kind may be unhashable
+    if keys is None:
+        raise ValueError(f"unknown policy kind {kind!r}")
+    unknown = [key for key in given if key not in keys]
+    if unknown:
+        raise ValueError(
+            f"unknown key {', '.join(map(repr, unknown))} for kind {kind!r} "
+            f"(allowed: 'kind', {', '.join(map(repr, sorted(keys)))})"
+        )
+    return keys
+
+
+@dataclass(frozen=True)
+class Policy:
+    """One bandit policy: its kind, and the fields that kind takes
+    (``_KINDS``); a field the kind does not take is None."""
+
+    kind: str
+    l: int | str | None = AUTO
+    m: int | None = None
+    label: str | None = None
 
     def __post_init__(self):
-        m = getattr(self, "m", None)
-        if m is not None and not (is_int(m) and m >= 1):
-            raise ValueError(f"m must be an integer >= 1; got {m!r}")
+        # None, and l's default "auto", leave a field unset
+        keys = _kind_keys(self.kind, [f for f in ("l", "m") if getattr(self, f) not in (None, AUTO)])
+        if "l" not in keys:  # a kind with no stop level
+            object.__setattr__(self, "l", None)
+        elif self.l != AUTO and not is_int(self.l):
+            raise ValueError(f"l must be an integer or {AUTO!r}; got {self.l!r}")
+        if self.m is not None and not (is_int(self.m) and self.m >= 1):
+            raise ValueError(f"m must be an integer >= 1; got {self.m!r}")
         if self.label is None:
-            object.__setattr__(self, "label", self.default_label())
+            suffix = "" if self.l is None else "_auto" if self.l == AUTO else f"_l{self.l}"
+            object.__setattr__(self, "label", self.kind + suffix)
         elif not isinstance(self.label, str) or not self.label:
             raise ValueError(f"label must be a nonempty string; got {self.label!r}")
 
-    def default_label(self) -> str:
-        return self.kind
-
-    @classmethod
-    def from_json(cls, doc: dict):
-        """Build from the config form; ValueError on any key or value it does not take."""
-        if doc.get("kind") != cls.kind:
-            raise ValueError(f"kind must be {cls.kind!r}; got {doc.get('kind')!r}")
-        allowed = {f.name for f in fields(cls)}
-        unknown = [key for key in doc if key != "kind" and key not in allowed]
-        if unknown:
-            keys = ", ".join(repr(key) for key in unknown)
-            raise ValueError(
-                f"unknown key {keys} for kind {cls.kind!r} "
-                f"(allowed: 'kind', {', '.join(repr(f) for f in sorted(allowed))})"
-            )
-        return cls(**{key: v for key, v in doc.items() if key != "kind"})
-
     def to_json(self) -> dict:
         doc = {"kind": self.kind}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None:
-                doc[f.name] = value
+        for key in _KINDS[self.kind]:
+            if getattr(self, key) is not None:
+                doc[key] = getattr(self, key)
         return doc
+
+    def resolve(self, n: int, k: int, T: int) -> tuple[int | None, int | None]:
+        if self.kind == "ucb_all":
+            return None, None
+        l = None  # etcg fixes all k levels
+        if self.kind == "sub_ucb":
+            l = auto_stop_level(n, k, T) if self.l == AUTO else self.l
+            if not 0 <= l <= k:
+                raise ValueError(f"stop level {l} outside [0, {k}]")
+        return l, self.m or default_m(T, n)
 
     def program(self, n: int, k: int, T: int) -> tuple[int, int | None, bool]:
         """The phases of a run at horizon T: ``greedy_then_flat``'s (l, m,
         uniform).  With no greedy level, m and the rule never enter the run,
         so every l = 0 run is the program (0, None, False)."""
         l, m = self.resolve(n, k, T)
-        l = k if self.uniform else l or 0  # etcg fixes all k levels, ucb_all none
-        return (l, m, self.uniform) if l else (0, None, False)
+        uniform = self.kind == "etcg"
+        l = k if uniform else l or 0
+        return (l, m, uniform) if l else (0, None, False)
 
     def run_batch(self, envs: list[BanditEnv], k: int, T: int) -> list[list[ItemSet]]:
         return greedy_then_flat(envs, k, T, *self.program(envs[0].spec.n, k, T))
@@ -123,75 +150,9 @@ class _Policy:
         return self.run_batch([env], k, T)[0]
 
 
-@dataclass(frozen=True)
-class UcbAllPolicy(_Policy):
-    """Flat index policy over every size-k arm."""
-
-    label: str | None = None
-
-    kind = "ucb_all"
-
-    def resolve(self, n: int, k: int, T: int) -> tuple[None, None]:
-        return None, None
-
-
-@dataclass(frozen=True)
-class EtcgPolicy(_Policy):
-    """Explore-then-commit greedy with per-level budget m (None = default_m)."""
-
-    m: int | None = None
-    label: str | None = None
-
-    kind = "etcg"
-    uniform = True
-
-    def resolve(self, n: int, k: int, T: int) -> tuple[None, int]:
-        return None, self.m or default_m(T, n)
-
-
-@dataclass(frozen=True)
-class SubUcbPolicy(_Policy):
-    """Optimistic greedy for l levels, then flat UCB over the super-arms.
-
-    ``l`` is a stop level in [0, k] or "auto" (derived from the horizon by
-    ``auto_stop_level``); ``m`` is the per-arm budget (None = default_m).
-    The greedy phase fixes l optimistic levels: level 1 samples every
-    singleton m times and keeps the index argmax over those samples; each
-    later level pulls every candidate once and then the index argmax until
-    that argmax already has m pulls.  The flat phase then applies the index
-    rule to every size-k superset of the base; at l = 0 that is
-    ``UcbAllPolicy``'s run.
-    """
-
-    l: int | str = AUTO
-    m: int | None = None
-    label: str | None = None
-
-    kind = "sub_ucb"
-
-    def __post_init__(self):
-        if self.l != AUTO and not is_int(self.l):
-            raise ValueError(f"l must be an integer or {AUTO!r}; got {self.l!r}")
-        super().__post_init__()
-
-    def default_label(self) -> str:
-        return "sub_ucb_auto" if self.l == AUTO else f"sub_ucb_l{self.l}"
-
-    def resolve(self, n: int, k: int, T: int) -> tuple[int, int]:
-        l = auto_stop_level(n, k, T) if self.l == AUTO else self.l
-        if not 0 <= l <= k:
-            raise ValueError(f"stop level {l} outside [0, {k}]")
-        return l, self.m or default_m(T, n)
-
-
-Policy = SubUcbPolicy | EtcgPolicy | UcbAllPolicy
-
-
 def policy_from_json(doc) -> Policy:
-    """Decode one config entry, dispatching on its ``kind``; ValueError if malformed."""
+    """Decode one config entry; ValueError on any key or value its kind does not take."""
     if not isinstance(doc, dict):
         raise ValueError(f'need an object such as {{"kind": "etcg"}}; got {doc!r}')
-    for cls in (SubUcbPolicy, EtcgPolicy, UcbAllPolicy):
-        if doc.get("kind") == cls.kind:
-            return cls.from_json(doc)
-    raise ValueError(f"unknown policy kind {doc.get('kind')!r}")
+    _kind_keys(doc.get("kind"), [key for key in doc if key != "kind"])
+    return Policy(**doc)

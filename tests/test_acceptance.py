@@ -20,7 +20,7 @@ from conftest import enumerate_chain_costs, random_monotone_submodular
 from submodbandit import (
     BanditEnv,
     ItemSet,
-    SubUcbPolicy,
+    Policy,
     approx_ratio,
     auto_stop_level,
     benchmark_summary,
@@ -194,7 +194,7 @@ def test_criterion_5_zero_noise_gaps():
     for spec, k in [(harmonic_base(9, 3), 3), (experiment_cover()[0], 4)]:
         for m in (10, 100, None):
             env = BanditEnv(spec, 0.0, 0)
-            pol = SubUcbPolicy(l=k, m=m)
+            pol = Policy("sub_ucb", l=k, m=m)
             levels = pol.run(env, k, T)
             _, m_used = pol.resolve(spec.n, k, T)
             bound = 2.0 * math.sqrt(8.0 * math.log(T) / m_used)

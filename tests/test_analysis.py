@@ -12,7 +12,7 @@ from submodbandit import (
     BanditEnv,
     HarmonicInstance,
     ItemSet,
-    SubUcbPolicy,
+    Policy,
     auto_stop_level,
     benchmark_summary,
     compute_bounds,
@@ -250,7 +250,7 @@ def test_kl_under_a_policy_pull_profile():
     h0 = harmonic_base(9, 3)
     h1 = harmonic_elevated(9, 3)
     env = BanditEnv(h0, 1.0, 4)
-    SubUcbPolicy(l=1).run(env, 3, 500)
+    Policy("sub_ucb", l=1).run(env, 3, 500)
     per_pull = sum(
         (h0.value_of_mask(mask) - h1.value_of_mask(mask)) ** 2 / 2
         for mask in env.trajectory.masks()

@@ -1,6 +1,9 @@
 import argparse
+import builtins
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -9,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import submodbandit
 from submodbandit import ItemSet, Tabular
 from submodbandit.catalog import harmonic_base
 from submodbandit.cli import build_parser, main
@@ -479,6 +483,7 @@ def _run_without_cells(tmp_path, argv):
         (["plot", "{d}/good.csv", "{d}/missing/x.svg"], "{d}/missing"),
         (["run", "{d}/typo.json"], "field 'chekpoints'"),
         (["verify", "{d}/target.json"], "{d}/target.json: field 'kk'"),
+        (["run", "{d}/huge-T.json"], "field 'T_grid'"),
     ],
     ids=[
         "verify-dir",
@@ -492,6 +497,7 @@ def _run_without_cells(tmp_path, argv):
         "plot-out-in-missing-dir",
         "run-unknown-config-key",
         "verify-unknown-target-key",
+        "run-T-past-the-step-counters",
     ],
 )
 def test_malformed_input_exits_2_in_a_fresh_interpreter(tmp_path, argv, fragment):
@@ -500,6 +506,8 @@ def test_malformed_input_exits_2_in_a_fresh_interpreter(tmp_path, argv, fragment
     (tmp_path / "config.json").write_text(json.dumps(_valid_run_config(tmp_path)))
     typo = _valid_run_config(tmp_path, chekpoints=[1, 2])
     (tmp_path / "typo.json").write_text(json.dumps(typo))
+    huge = _valid_run_config(tmp_path, T_grid=[2**63])
+    (tmp_path / "huge-T.json").write_text(json.dumps(huge))
     target = {"function": harmonic_base(6, 2).to_json(), "k": 2, "kk": 1}
     (tmp_path / "target.json").write_text(json.dumps(target))
     (tmp_path / "file").write_text("")
@@ -550,3 +558,23 @@ def test_readme_config_and_cli_block_match_the_code():
     actions = build_parser()._actions
     (commands,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
     assert listed == list(commands.choices)
+    # every backticked CamelCase name (``Policy`` or ``Policy(...)``) that is
+    # not a builtin (an exception, or None) names something a submodbandit
+    # module defines
+    modules = [
+        importlib.import_module(f"submodbandit.{info.name}")
+        for info in pkgutil.iter_modules(submodbandit.__path__)
+        if info.name != "__main__"
+    ]
+    named = {
+        match.group(1)
+        for span in re.findall(r"`([^`\n]+)`", readme)
+        if (match := re.match(r"([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)(?:$|[(.])", span))
+    }
+    stale = [
+        name
+        for name in sorted(named)
+        if not hasattr(builtins, name) and not any(hasattr(module, name) for module in modules)
+    ]
+    assert stale == []
+    assert {"Policy", "ValueError"} <= named  # the pattern finds both kinds of name

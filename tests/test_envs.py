@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from collections import Counter
 
-from submodbandit import BanditEnv, HarmonicInstance, ItemSet, Trajectory, UcbAllPolicy, evaluate
+from submodbandit import BanditEnv, HarmonicInstance, ItemSet, Policy, Trajectory, evaluate
 from submodbandit.catalog import experiment_cover
 from submodbandit.structure import value_table
 
@@ -87,7 +87,7 @@ def test_bulk_and_single_pulls_keep_one_record():
     # every step had been pulled by hand
     spec = HarmonicInstance(6, 2, 1 / 32)
     env = BanditEnv(spec, 1.0, 31)
-    UcbAllPolicy().run(env, 2, 1500)
+    Policy("ucb_all").run(env, 2, 1500)
     for S in [ItemSet.of([3]), ItemSet.of([0, 1]), ItemSet.empty(), ItemSet.of([3])]:
         env.pull(S)
     traj = env.trajectory

@@ -24,7 +24,7 @@ from submodbandit.experiments import (
     run_experiment,
 )
 from submodbandit.functions import SetFunction, UniqueGreedyPath, WeightedCover
-from submodbandit.policies import EtcgPolicy, SubUcbPolicy, UcbAllPolicy
+from submodbandit.policies import Policy
 
 
 def _base_doc(**overrides):
@@ -109,10 +109,15 @@ def test_derive_seed_stable():
 
 
 def test_policy_resolve():
-    assert SubUcbPolicy(l="auto").resolve(15, 4, 100) == (1, 6)
-    assert SubUcbPolicy(l=3, m=9).resolve(15, 4, 100) == (3, 9)
-    assert EtcgPolicy().resolve(15, 4, 100) == (None, 6)
-    assert UcbAllPolicy().resolve(15, 4, 100) == (None, None)
+    assert Policy("sub_ucb", l="auto").resolve(15, 4, 100) == (1, 6)
+    assert Policy("sub_ucb", l=3, m=9).resolve(15, 4, 100) == (3, 9)
+    assert Policy("etcg").resolve(15, 4, 100) == (None, 6)
+    assert Policy("ucb_all").resolve(15, 4, 100) == (None, None)
+    # the manifest records l = 0 with its default m, which the run never uses
+    assert Policy("sub_ucb", l=0).resolve(15, 4, 100) == (0, 6)
+    assert Policy("sub_ucb", l=0).program(15, 4, 100) == (0, None, False)
+    assert Policy("etcg", m=3, label="e3").resolve(15, 4, 100) == (None, 3)
+    assert Policy("sub_ucb", l=2, label="mine").resolve(15, 4, 100) == (2, 6)
 
 
 def test_run_experiment_row_accounting(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -14,12 +15,10 @@ from conftest import (
 )
 from submodbandit import (
     BanditEnv,
-    EtcgPolicy,
     HarmonicInstance,
     ItemSet,
-    SubUcbPolicy,
+    Policy,
     Tabular,
-    UcbAllPolicy,
     default_m,
     evaluate,
     exact_greedy,
@@ -77,7 +76,7 @@ def _flat_over_supersets(env, T, k, base):
     values, replayed set by set on the same noise stream."""
     contraction = _Contraction(env.spec, base, k - len(base))
     solo = BanditEnv(contraction, env.sigma, env.seed)
-    UcbAllPolicy().run(solo, contraction.k, T)
+    Policy("ucb_all").run(solo, contraction.k, T)
     for mask in solo.trajectory.masks():
         env.pull(ItemSet(contraction.expand(mask)))
     assert env.trajectory.rewards() == solo.trajectory.rewards()
@@ -87,19 +86,19 @@ def _flat_over_supersets(env, T, k, base):
 def test_trajectory_length_and_cardinality():
     spec = harmonic_base(6, 2)
     for T in (1, 7, 40):
-        traj = _trajectory(SubUcbPolicy(l=1, m=3), _fresh(spec, 1.0, 3), 2, T)
+        traj = _trajectory(Policy("sub_ucb", l=1, m=3), _fresh(spec, 1.0, 3), 2, T)
         assert len(traj) == T
         assert pulled_sets_ok(traj, 2)
-    traj = _trajectory(EtcgPolicy(m=2), _fresh(spec, 1.0, 3), 2, 25)
+    traj = _trajectory(Policy("etcg", m=2), _fresh(spec, 1.0, 3), 2, 25)
     assert len(traj) == 25 and pulled_sets_ok(traj, 2)
-    traj = _trajectory(UcbAllPolicy(), _fresh(spec, 1.0, 3), 2, 33)
+    traj = _trajectory(Policy("ucb_all"), _fresh(spec, 1.0, 3), 2, 33)
     assert len(traj) == 33 and pulled_sets_ok(traj, 2)
 
 
 def test_sub_ucb_level_zero_equals_flat_ucb():
     spec = harmonic_base(6, 2)
-    a = _trajectory(SubUcbPolicy(l=0), _fresh(spec, 1.0, 11), 2, 300)
-    b = _trajectory(UcbAllPolicy(), _fresh(spec, 1.0, 11), 2, 300)
+    a = _trajectory(Policy("sub_ucb", l=0), _fresh(spec, 1.0, 11), 2, 300)
+    b = _trajectory(Policy("ucb_all"), _fresh(spec, 1.0, 11), 2, 300)
     assert a == b
 
 
@@ -107,52 +106,52 @@ def test_sub_ucb_zero_noise_matches_exact_greedy():
     for spec, k in [(harmonic_base(6, 2), 2), (experiment_cover()[0], 4)]:
         for m in (1, 5):
             env = _fresh(spec, 0.0, 0)
-            levels = SubUcbPolicy(l=k, m=m).run(env, k, 5000)
+            levels = Policy("sub_ucb", l=k, m=m).run(env, k, 5000)
             assert levels == list(exact_greedy(spec, k).levels)
 
 
 def test_sub_ucb_budget_guard_mid_phase():
     spec = harmonic_base(6, 2)
     # T smaller than level 1's singleton samples, n*m = 60
-    traj = _trajectory(SubUcbPolicy(l=2, m=10), _fresh(spec, 1.0, 9), 2, 15)
+    traj = _trajectory(Policy("sub_ucb", l=2, m=10), _fresh(spec, 1.0, 9), 2, 15)
     assert len(traj) == 15
     assert all(mask.bit_count() == 1 for mask in traj.masks())
 
 
 def test_sub_ucb_invalid_stop_level():
     with pytest.raises(ValueError, match=r"stop level 3 outside \[0, 2\]"):
-        SubUcbPolicy(l=3).resolve(6, 2, 10)
+        Policy("sub_ucb", l=3).resolve(6, 2, 10)
     with pytest.raises(ValueError, match=r"stop level 3 outside \[0, 2\]"):
-        SubUcbPolicy(l=3).run(_fresh(harmonic_base(6, 2), 1.0, 0), 2, 10)
+        Policy("sub_ucb", l=3).run(_fresh(harmonic_base(6, 2), 1.0, 0), 2, 10)
     with pytest.raises(ValueError, match=r"stop level -1 outside \[0, 2\]"):
-        SubUcbPolicy(l=-1).resolve(6, 2, 10)
+        Policy("sub_ucb", l=-1).resolve(6, 2, 10)
 
 
 def test_program_is_the_phases_a_run_takes():
     # auto resolves to l = 0 on cover15 at T = 10^4; with no greedy level,
     # m and the sampling rule never enter the run
     flat = (0, None, False)
-    assert SubUcbPolicy().program(15, 4, 10**4) == flat
-    assert SubUcbPolicy(l=0, m=7).program(15, 4, 100) == flat
-    assert UcbAllPolicy().program(15, 4, 1) == flat
-    assert SubUcbPolicy().program(15, 4, 100) == (1, default_m(100, 15), False)
-    assert SubUcbPolicy(l=4, m=2).program(15, 4, 100) == (4, 2, False)
-    assert EtcgPolicy(m=2).program(15, 4, 100) == (4, 2, True)
-    assert EtcgPolicy().program(15, 4, 100) == (4, default_m(100, 15), True)
+    assert Policy("sub_ucb").program(15, 4, 10**4) == flat
+    assert Policy("sub_ucb", l=0, m=7).program(15, 4, 100) == flat
+    assert Policy("ucb_all").program(15, 4, 1) == flat
+    assert Policy("sub_ucb").program(15, 4, 100) == (1, default_m(100, 15), False)
+    assert Policy("sub_ucb", l=4, m=2).program(15, 4, 100) == (4, 2, False)
+    assert Policy("etcg", m=2).program(15, 4, 100) == (4, 2, True)
+    assert Policy("etcg").program(15, 4, 100) == (4, default_m(100, 15), True)
     # the same ValueErrors as resolve: a stop level outside [0, k], and a
     # default m at T = 1, even where the run would not use it
     with pytest.raises(ValueError, match=r"stop level 3 outside \[0, 2\]"):
-        SubUcbPolicy(l=3).program(6, 2, 10)
-    for policy in (EtcgPolicy(), SubUcbPolicy(l=1), SubUcbPolicy(l=0)):
+        Policy("sub_ucb", l=3).program(6, 2, 10)
+    for policy in (Policy("etcg"), Policy("sub_ucb", l=1), Policy("sub_ucb", l=0)):
         with pytest.raises(ValueError, match="need T >= 2"):
             policy.program(6, 2, 1)
-    assert SubUcbPolicy(l=0, m=1).program(6, 2, 1) == flat
+    assert Policy("sub_ucb", l=0, m=1).program(6, 2, 1) == flat
 
 
 def test_sub_ucb_full_stop_level_commits():
     spec = harmonic_base(6, 2)
     env = _fresh(spec, 0.0, 2)
-    levels = SubUcbPolicy(l=2, m=2).run(env, 2, 100)
+    levels = Policy("sub_ucb", l=2, m=2).run(env, 2, 100)
     traj = env.trajectory
     # once both levels are fixed, the single super-arm is the chain's top set
     assert traj.masks()[-1] == levels[-1].mask
@@ -162,7 +161,7 @@ def test_sub_ucb_full_stop_level_commits():
 def test_etcg_zero_noise_commit():
     cover, k = experiment_cover()
     env = _fresh(cover, 0.0, 1)
-    levels = EtcgPolicy(m=1).run(env, k, 200)
+    levels = Policy("etcg", m=1).run(env, k, 200)
     traj = env.trajectory
     assert [lvl.render() for lvl in levels] == ["14", "10,14", "0,10,14", "0,5,10,14"]
     assert traj.masks()[-1] == ItemSet.of([0, 5, 10, 14]).mask
@@ -171,16 +170,30 @@ def test_etcg_zero_noise_commit():
 
 def test_etcg_truncated_exploration():
     spec = harmonic_base(6, 2)
-    traj = _trajectory(EtcgPolicy(m=3), _fresh(spec, 1.0, 4), 2, 8)
+    traj = _trajectory(Policy("etcg", m=3), _fresh(spec, 1.0, 4), 2, 8)
     assert len(traj) == 8
     # never got past level 1: only singletons pulled
     assert all(mask.bit_count() == 1 for mask in traj.masks())
 
 
+def test_a_budget_past_the_horizon_pulls_as_t_plus_one():
+    # a run stops at step T, so an m of 10**30, whose schedule no int64
+    # counter holds, runs as m = T + 1 under either greedy rule
+    spec = harmonic_base(6, 2)
+    for T in (1, 7, 40):
+        for policy in (Policy("sub_ucb", l=1), Policy("sub_ucb", l=2), Policy("etcg")):
+            runs = []
+            for m in (T + 1, 10**30):
+                env = _fresh(spec, 0.5, 3)
+                levels = replace(policy, m=m).run(env, 2, T)
+                runs.append((levels, env.trajectory.to_csv()))
+            assert runs[0] == runs[1]
+
+
 def test_etcg_repeat_runs_identical():
     spec = harmonic_base(6, 2)
-    t1 = _trajectory(EtcgPolicy(m=2), _fresh(spec, 1.0, 12), 2, 60)
-    t2 = _trajectory(EtcgPolicy(m=2), _fresh(spec, 1.0, 12), 2, 60)
+    t1 = _trajectory(Policy("etcg", m=2), _fresh(spec, 1.0, 12), 2, 60)
+    t2 = _trajectory(Policy("etcg", m=2), _fresh(spec, 1.0, 12), 2, 60)
     assert t1 == t2
 
 
@@ -232,7 +245,7 @@ def test_over_budget_run_stops_before_any_pull():
     spec = UniqueGreedyPath(999_999, 1, 0.1)
     env = BanditEnv(spec, 1.0, 0)
     with pytest.raises(GroundSetTooLarge):
-        UcbAllPolicy().run(env, 1, 10)
+        Policy("ucb_all").run(env, 1, 10)
     assert env.t == 0
     assert env.pull(ItemSet.of([0])) == BanditEnv(spec, 1.0, 0).pull(ItemSet.of([0]))
 
@@ -258,7 +271,7 @@ def test_every_flat_phase_the_table_budget_admits_fits_one_lockstep_row():
 
 def test_ucb_all_initialization_round():
     spec = HarmonicInstance(4, 2, 1 / 32)
-    traj = _trajectory(UcbAllPolicy(), _fresh(spec, 1.0, 8), 2, 6)
+    traj = _trajectory(Policy("ucb_all"), _fresh(spec, 1.0, 8), 2, 6)
     assert sorted(traj.masks()) == sorted(
         (1 << a) | (1 << b) for a in range(4) for b in range(a + 1, 4)
     )
@@ -270,7 +283,7 @@ def test_ucb_all_log_growth_of_worse_arm():
     spec = Tabular(2, 1, {0: 0.0, 1: 0.6, 2: 0.1})
     T = 10_000
     env = _fresh(spec, 0.0, 0)
-    traj = _trajectory(UcbAllPolicy(), env, 1, T)
+    traj = _trajectory(Policy("ucb_all"), env, 1, T)
     worse = env.pull_counts[ItemSet(0b10)]
     assert worse <= 32 * math.log(T) + 1
     assert env.pull_counts[ItemSet(0b01)] > worse
@@ -292,20 +305,20 @@ def test_ucb_all_too_many_arms():
     spec = HarmonicInstance(60, 5, 1 / 200)
     env = _fresh(spec, 1.0, 0)
     with pytest.raises(GroundSetTooLarge):
-        _trajectory(UcbAllPolicy(), env, 5, 10)
+        _trajectory(Policy("ucb_all"), env, 5, 10)
     assert env.t == 0
 
 
 def test_policies_deterministic_given_seed():
     spec = harmonic_base(9, 3)
-    a = _trajectory(SubUcbPolicy(l=2, m=4), _fresh(spec, 1.0, 77), 3, 400)
-    b = _trajectory(SubUcbPolicy(l=2, m=4), _fresh(spec, 1.0, 77), 3, 400)
+    a = _trajectory(Policy("sub_ucb", l=2, m=4), _fresh(spec, 1.0, 77), 3, 400)
+    b = _trajectory(Policy("sub_ucb", l=2, m=4), _fresh(spec, 1.0, 77), 3, 400)
     assert a == b
 
 
 def test_cardinality_above_ground_set_rejected():
     spec = harmonic_base(6, 2)
-    for policy in (UcbAllPolicy(), EtcgPolicy(m=1)):
+    for policy in (Policy("ucb_all"), Policy("etcg", m=1)):
         env = _fresh(spec, 1.0, 0)
         with pytest.raises(ValueError, match="k=7 exceeds the spec's k_max=2"):
             _trajectory(policy, env, 7, 10)
@@ -323,9 +336,9 @@ def test_greedy_levels_beat_flat_ucb_at_desk_scale():
         for trial in range(10):
             env = _fresh(cover, 1.0, 5000 + trial)
             if policy_kind == "greedy":
-                SubUcbPolicy(l=2).run(env, k, T)
+                Policy("sub_ucb", l=2).run(env, k, T)
             else:
-                UcbAllPolicy().run(env, k, T)
+                Policy("ucb_all").run(env, k, T)
             totals.append(sum(evaluate(cover, ItemSet(m)) for m in env.trajectory.masks()))
         summary_gaps.append(sum(totals) / len(totals))
     greedy_reward, flat_reward = summary_gaps
@@ -344,7 +357,7 @@ def test_zero_noise_level_gap_bound():
     for spec, k in small:
         for m in (2, 10):
             env = _fresh(spec, 0.0, 0)
-            levels = SubUcbPolicy(l=k, m=m).run(env, k, T)
+            levels = Policy("sub_ucb", l=k, m=m).run(env, k, T)
             bound = 2 * math.sqrt(8 * math.log(T) / m)
             prev = ItemSet.empty()
             for lvl in levels:
@@ -364,18 +377,26 @@ def test_policy_json_roundtrip_and_default_labels():
     from submodbandit import policy_from_json
 
     cases = [
-        (SubUcbPolicy(), {"kind": "sub_ucb", "l": "auto", "label": "sub_ucb_auto"}),
-        (SubUcbPolicy(l=2, m=5), {"kind": "sub_ucb", "l": 2, "m": 5, "label": "sub_ucb_l2"}),
-        (EtcgPolicy(), {"kind": "etcg", "label": "etcg"}),
-        (UcbAllPolicy(label="flat"), {"kind": "ucb_all", "label": "flat"}),
+        (Policy("sub_ucb"), {"kind": "sub_ucb", "l": "auto", "label": "sub_ucb_auto"}),
+        (Policy("sub_ucb", l=2, m=5), {"kind": "sub_ucb", "l": 2, "m": 5, "label": "sub_ucb_l2"}),
+        (Policy("etcg"), {"kind": "etcg", "label": "etcg"}),
+        (Policy("ucb_all", label="flat"), {"kind": "ucb_all", "label": "flat"}),
+        (Policy("sub_ucb", l=0), {"kind": "sub_ucb", "l": 0, "label": "sub_ucb_l0"}),
+        (Policy("etcg", m=3, label="e3"), {"kind": "etcg", "m": 3, "label": "e3"}),
+        (Policy("sub_ucb", l=1, label="mine"), {"kind": "sub_ucb", "l": 1, "label": "mine"}),
     ]
     for policy, doc in cases:
         assert policy.to_json() == doc
         assert policy_from_json(doc) == policy
         assert pickle.loads(pickle.dumps(policy)) == policy
-    assert policy_from_json({"kind": "etcg", "m": 3}) == EtcgPolicy(m=3, label="etcg")
-    with pytest.raises(ValueError, match="kind must be 'etcg'; got 'ucb_all'"):
-        EtcgPolicy.from_json({"kind": "ucb_all"})
+    assert policy_from_json({"kind": "etcg", "m": 3}) == Policy("etcg", m=3, label="etcg")
+    # the constructor refuses what the decoder refuses
+    with pytest.raises(ValueError, match="unknown key 'l' for kind 'etcg'"):
+        Policy("etcg", l=2)
+    with pytest.raises(ValueError, match="unknown key 'm' for kind 'ucb_all'"):
+        Policy("ucb_all", m=3)
+    with pytest.raises(ValueError, match=r"unknown policy kind \[\]"):
+        Policy([])
 
 
 @settings(max_examples=40, deadline=None)
@@ -393,8 +414,8 @@ def test_batch_rows_equal_solo_runs(data):
     seeds = data.draw(
         st.lists(st.integers(0, 2**32), min_size=1, max_size=5, unique=True), label="seeds"
     )
-    runs = [(SubUcbPolicy(l=l, m=m), l, False) for l in range(k + 1)]
-    runs += [(EtcgPolicy(m=m), k, True), (UcbAllPolicy(), 0, False)]
+    runs = [(Policy("sub_ucb", l=l, m=m), l, False) for l in range(k + 1)]
+    runs += [(Policy("etcg", m=m), k, True), (Policy("ucb_all"), 0, False)]
     for policy, l, uniform in runs:
         batch = [BanditEnv(spec, sigma, seed) for seed in seeds]
         levels = policy.run_batch(batch, k, T)
@@ -414,7 +435,7 @@ def test_batch_rows_out_of_step_match_the_reference():
         spec = random_monotone_submodular(table, 6, 3)
         for l, m in [(2, 2), (3, 3)]:
             batch = [BanditEnv(spec, 0.5, seed) for seed in range(5)]
-            levels = SubUcbPolicy(l=l, m=m).run_batch(batch, 3, 150)
+            levels = Policy("sub_ucb", l=l, m=m).run_batch(batch, 3, 150)
             third = {[mask.bit_count() for mask in env.trajectory.masks()].index(3) for env in batch}
             assert len(third) > 1  # the rows reached their third item at different t
             for seed, env, env_levels in zip(range(5), batch, levels):
@@ -426,11 +447,11 @@ def test_batch_rows_out_of_step_match_the_reference():
 def test_batch_needs_one_spec_sigma_and_t():
     spec = harmonic_base(6, 2)
     with pytest.raises(ValueError, match="fresh envs with one spec and sigma"):
-        UcbAllPolicy().run_batch([BanditEnv(spec, 1.0, 0), BanditEnv(spec, 0.5, 1)], 2, 10)
+        Policy("ucb_all").run_batch([BanditEnv(spec, 1.0, 0), BanditEnv(spec, 0.5, 1)], 2, 10)
     moved = BanditEnv(spec, 1.0, 1)  # not fresh: it has pulled
     moved.pull(ItemSet.of([0]))
     with pytest.raises(ValueError, match="fresh envs with one spec and sigma"):
-        UcbAllPolicy().run_batch([BanditEnv(spec, 1.0, 0), moved], 2, 10)
+        Policy("ucb_all").run_batch([BanditEnv(spec, 1.0, 0), moved], 2, 10)
 
 
 def test_run_on_a_used_env_raises_before_any_noise():
@@ -440,7 +461,7 @@ def test_run_on_a_used_env_raises_before_any_noise():
     used, twin = BanditEnv(spec, 1.0, 3), BanditEnv(spec, 1.0, 3)
     for env in (used, twin):
         env.pull(ItemSet.of([0]))
-    for policy in (UcbAllPolicy(), EtcgPolicy(m=2), SubUcbPolicy(l=1, m=2)):
+    for policy in (Policy("ucb_all"), Policy("etcg", m=2), Policy("sub_ucb", l=1, m=2)):
         with pytest.raises(ValueError, match="fresh envs"):
             policy.run(used, 2, 50)
     assert used.t == 1
@@ -578,7 +599,7 @@ def test_windowed_and_dense_runs_are_identical(monkeypatch, sigma, l):
     for cells in (0, math.inf):  # a window on every batch, then on none
         monkeypatch.setattr(lockstep, "WINDOW_CELLS", cells)
         envs = [BanditEnv(spec, sigma, seed) for seed in range(8)]
-        levels = SubUcbPolicy(l=l, m=20).run_batch(envs, k, 4000)
+        levels = Policy("sub_ucb", l=l, m=20).run_batch(envs, k, 4000)
         runs[cells] = levels, [env.trajectory.to_csv() for env in envs]
         if cells == 0:
             assert any(accepted)  # the window chose arms, not only the fallback
@@ -605,7 +626,7 @@ def test_mixed_phase_window_at_the_real_gate(monkeypatch, sigma):
 
     def run():
         envs = [BanditEnv(spec, sigma, seed) for seed in range(16)]
-        levels = SubUcbPolicy(l=2, m=20).run_batch(envs, k, 4000)
+        levels = Policy("sub_ucb", l=2, m=20).run_batch(envs, k, 4000)
         return levels, [env.trajectory.to_csv() for env in envs]
 
     monkeypatch.setattr(lockstep.Lockstep, "_window_argmax", spy)
@@ -634,7 +655,7 @@ def test_chunk_ends_inside_windows_change_no_pull(monkeypatch):
 
     def run():
         envs = [BanditEnv(spec, 0.5, seed) for seed in range(8)]
-        levels = UcbAllPolicy().run_batch(envs, k, 2000)
+        levels = Policy("ucb_all").run_batch(envs, k, 2000)
         return levels, [env.trajectory.to_csv() for env in envs]
 
     expected = run()
@@ -652,11 +673,11 @@ def test_chunk_ends_change_no_pull(monkeypatch):
     # run draws exactly T noise values, so a pull after it reads the same one
     spec, k = experiment_cover()
     policies = [
-        SubUcbPolicy(l=0),
-        SubUcbPolicy(l=1, m=5),
-        SubUcbPolicy(l=2, m=3),
-        EtcgPolicy(m=4),
-        UcbAllPolicy(),
+        Policy("sub_ucb", l=0),
+        Policy("sub_ucb", l=1, m=5),
+        Policy("sub_ucb", l=2, m=3),
+        Policy("etcg", m=4),
+        Policy("ucb_all"),
     ]
 
     def runs():
