@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .analysis import RegretMeter, benchmark_summary
@@ -32,6 +34,16 @@ from .functions import SetFunction, is_finite_number, is_int, spec_from_json
 from .lockstep import MAX_T, greedy_then_flat
 from .policies import Policy, policy_from_json
 from .svgplot import RESULTS_HEADER
+
+# cells of one grid (policies x horizons x trials).  A cell is about 170
+# bytes of indented manifest, so the manifest stays under about 180 MB; the
+# cells' seeds and manifest entries (about 360 bytes a cell in memory) are
+# listed before the first group runs
+MAX_CELLS = 2**20
+# entries per C-encoded block of the manifest writer (``indented_json``), so
+# a table echo of any size is encoded a bounded block at a time
+JSON_BLOCK = 1024
+_CONTAINERS = (dict, list, tuple)
 
 
 @dataclass(frozen=True)
@@ -71,8 +83,9 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     must have its JSON type (integers are never bools, floats or strings),
     every horizon must fit the run's step counters (``lockstep.MAX_T``) and
     every policy is resolved at every horizon, so a config that passes here
-    cannot fail later on its own values.  Only the resource guard is
-    left to ``run_experiment``.
+    cannot fail later on its own values.  A grid of more than ``MAX_CELLS``
+    cells is refused, naming ``trials``.  Only the resource guard is left to
+    ``run_experiment``.
     """
     if not isinstance(doc, dict):
         raise ConfigError("a config must be a JSON object")
@@ -144,6 +157,12 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         raise ConfigError("field 'policies': labels must be unique (set 'label' to disambiguate)")
 
     trials = integer("trials", need("trials"), 1)
+    cells = len(policies) * len(T_grid) * trials
+    if cells > MAX_CELLS:
+        raise ConfigError(
+            f"field 'trials': need policies x horizons x trials <= {MAX_CELLS} cells; "
+            f"got {cells}"
+        )
     base_seed = integer("base_seed", need("base_seed"))
 
     checkpoints = doc.get("checkpoints", "log")
@@ -309,6 +328,40 @@ def run_experiment(
         "cells": manifest_cells,
     }
     with manifest_path.open("w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+        f.writelines(indented_json(manifest))
         f.write("\n")
     return results_path, manifest_path
+
+
+def indented_json(doc) -> Iterator[str]:
+    """The text of ``json.dumps(doc, indent=2, sort_keys=True)``, in chunks.
+
+    Only the nesting is walked in Python.  Each run of scalar entries of an
+    object (in sorted key order) or of a list goes through the C encoder,
+    ``JSON_BLOCK`` entries at a time, with the separators of its
+    indentation, so a flat table of any size is encoded at C speed in
+    bounded blocks.  Object keys must be strings, as in a JSON document.
+    """
+    return _indented(doc, "\n")
+
+
+def _indented(value, newline: str) -> Iterator[str]:
+    if not isinstance(value, _CONTAINERS) or not value:
+        yield json.dumps(value)  # a scalar, {} or []
+        return
+    is_object = isinstance(value, dict)
+    inner = newline + "  "
+    sep = ("{" if is_object else "[") + inner
+    items = ((key, value[key]) for key in sorted(value)) if is_object else enumerate(value)
+    for nested, run in itertools.groupby(items, lambda item: isinstance(item[1], _CONTAINERS)):
+        if nested:
+            for key, entry in run:
+                yield sep + (json.dumps(key) + ": " if is_object else "")
+                yield from _indented(entry, inner)
+                sep = "," + inner
+        else:
+            while block := list(itertools.islice(run, JSON_BLOCK)):
+                entries = dict(block) if is_object else [entry for _, entry in block]
+                yield sep + json.dumps(entries, separators=("," + inner, ": "))[1:-1]
+                sep = "," + inner
+    yield newline + ("}" if is_object else "]")

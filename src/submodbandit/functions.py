@@ -17,6 +17,13 @@ All values live in [0, 1] and the empty set is worth 0 for the structured
 families.  Every spec is immutable; the tables derived from it (the
 rank-indexed table of the feasible sets, the exact benchmarks) live in its
 own ``memo``.
+
+A ``Tabular`` table crosses JSON by its canonical keys, ``sets.ranked_keys``
+(sorted, comma-joined items, built level by level in ``sort_key`` order and
+never cached).  ``to_json`` zips them with the table's own values;
+``spec_from_json`` maps each key of a table with the entry count of its
+(n, k_max) to its mask by one dict lookup, and parses only a key missing
+from them, so every refusal and its order are those of the parser.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .sets import ItemSet, feasible_count, render_mask
+from .sets import ItemSet, feasible_count, ranked_keys, render_mask
 
 
 def is_int(value) -> bool:
@@ -114,14 +121,9 @@ class Tabular(SetFunction):
         if not 0 <= self.k_max_ <= self.n:
             raise ValueError(f"k_max must lie in [0, n]; got {self.k_max_}")
         entries = len(self.table)
-        needed = 0
-        for size in range(self.k_max_ + 1):  # stops once past the table's entries
-            needed += math.comb(self.n, size)
-            if needed > entries:
-                break
+        needed = _complete_size(self.n, self.k_max_, entries)
         if needed != entries:
-            # the count is exact once every size is in it
-            need = needed if size == self.k_max_ else f"more than {entries}"
+            need = f"more than {entries}" if needed is None else needed
             raise ValueError(
                 f"table has {entries} entries; a complete table up to "
                 f"cardinality {self.k_max_} over n={self.n} needs {need}"
@@ -146,11 +148,22 @@ class Tabular(SetFunction):
         return self.table[mask]
 
     def to_json(self) -> dict:
-        table = {
-            render_mask(mask): v
-            for mask, v in sorted(self.table.items(), key=lambda kv: kv[0])
-        }
+        # the canonical keys, in rank order, with the table's own values
+        masks, keys = ranked_keys(self.n, self.k_max_)
+        table = dict(zip(keys, map(self.table.__getitem__, masks)))
         return {"kind": "tabular", "n": self.n, "k_max": self.k_max_, "table": table}
+
+
+def _complete_size(n: int, k_max: int, entries: int) -> int | None:
+    """The entries of a complete table up to cardinality k_max over n items,
+    or None once the count of the sizes below k_max passes ``entries``, so
+    a huge k_max costs no more than the table."""
+    needed = 0
+    for size in range(k_max + 1):
+        if needed > entries:
+            return None
+        needed += math.comb(n, size)
+    return needed
 
 
 @dataclass(frozen=True)
@@ -443,13 +456,18 @@ def spec_from_json(doc) -> SetFunction:
         table = _field(doc, "table", lambda t: isinstance(t, dict), "an object")
         # a complete table lists every singleton, so its items lie below its size
         bound = min(n, len(table))
+        canonical = {}  # key -> mask of every set of a table of this size
+        if 0 <= k_max <= n and _complete_size(n, k_max, len(table)) == len(table):
+            masks, keys = ranked_keys(n, k_max)
+            canonical = dict(zip(keys, masks))
         values = {}
         for key, v in table.items():
             if not is_finite_number(v):
                 raise ValueError(
                     f"field 'table': value of {key!r}: need a finite number; got {v!r}"
                 )
-            values[_table_mask(key, bound)] = float(v)
+            mask = canonical.get(key)
+            values[_table_mask(key, bound) if mask is None else mask] = float(v)
         return Tabular(n, k_max, values)
     if kind == "weighted_cover":
         blocks = _field(

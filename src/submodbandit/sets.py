@@ -4,12 +4,23 @@ An :class:`ItemSet` is an immutable subset of ``{0, ..., n-1}``.  Membership,
 union with a single item and iteration are all O(1)/O(popcount) on the
 underlying integer mask, and two sets compare equal iff their members are
 equal regardless of construction order.
+
+The canonical order of the sets of size <= k is ``sort_key``'s: by size,
+then by the sorted member tuple.  So the sets of size s are each set P of
+size s - 1, in order, followed by its children P + x for every x > last(P)
+(the largest item of P, -1 for the empty set), ascending.
+``ranked_levels`` walks that order one level at a time in numpy, with no
+rank lookup; the feasible-set index (``structure``) and the canonical keys
+of a ``Tabular`` table (``ranked_keys``, the key of P + x being
+key(P) + "," + str(x)) are both built from it.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 class ItemSet:
@@ -107,3 +118,47 @@ def _members(mask: int) -> tuple[int, ...]:
 
 def render_mask(mask: int) -> str:
     return ",".join(str(a) for a in _members(mask))
+
+
+def ranked_levels(
+    n: int, k: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Walk the sets of size 1..k in ``sort_key`` order, one level at a time.
+
+    For each size s, yields ``(offset, parent, last, masks)``.  ``offset`` is
+    indexed by the sets of size s - 1: P + x is set ``offset[P] + x`` of
+    level s, for every x > last(P).  The other three are indexed by the sets
+    of size s: the index of each set's parent P in level s - 1, its largest
+    item x and its mask P | 1 << x (an object array of Python ints, so
+    n > 63 is fine).  Nothing is allocated for k = 0.
+    """
+    if not k:
+        return
+    bits = np.array([1 << b for b in range(n)], dtype=object)
+    last = np.full(1, -1, dtype=np.int32)
+    masks = np.zeros(1, dtype=object)
+    for _ in range(k):
+        counts = n - 1 - last
+        # P's j-th child (from 0) is P + (last(P) + 1 + j), after the children
+        # of the sets before P
+        offset = np.cumsum(counts, dtype=np.int32) - counts - last - 1
+        parent = np.repeat(np.arange(len(last), dtype=np.int32), counts)
+        last = np.arange(len(parent), dtype=np.int32) - np.repeat(offset, counts)
+        masks = masks[parent] | bits[last]
+        yield offset, parent, last, masks
+
+
+def ranked_keys(n: int, k: int) -> tuple[list[int], list[str]]:
+    """The masks of the sets of size <= k in ``sort_key`` order, and their
+    keys (``render_mask``), built level by level: the key of P + x is
+    key(P) + "," + str(x).  Nothing is cached."""
+    masks, keys = [0], [""]
+    for size, (_, parent, last, level_masks) in enumerate(ranked_levels(n, k)):
+        if size:
+            level = level[parent] + tails[last]
+        else:
+            level = np.array([str(x) for x in range(n)], dtype=object)
+            tails = "," + level
+        masks += level_masks.tolist()
+        keys += level.tolist()
+    return masks, keys

@@ -16,13 +16,11 @@ A table is two parts.  The index, ``masks`` and ``extend``, depends only on
 of one shape (a base instance and its elevated variants) share one read-only
 copy.  The values are the spec's own, filled by ``spec._values(masks, k)``.
 
-The order is by size, then by the sorted member tuple, so the sets of size s
-are each set P of size s - 1, in order, followed by its children P + x for
-every x > last(P) (the largest item of P, -1 for the empty set), ascending.
 The table is built one level at a time in numpy from the level below, with
-no rank lookup: ``np.repeat`` over the child counts n - 1 - last(P) lists a
-level, so P + x has rank origin[P] + x for every x > last(P), where origin[P]
-is P's first child's rank less last(P) + 1.  A row of ``extend`` is then
+no rank lookup, by the level walk ``sets.ranked_levels`` (which describes
+the order): P + x has rank origin[P] + x for every x > last(P), where
+origin[P] is P's first child's rank less last(P) + 1.  A row of ``extend``
+is then
 
     extend[P, b] = -1                     if b in P
                  = origin[P] + b          if b > last(P)
@@ -55,7 +53,7 @@ import numpy as np
 
 from .errors import GroundSetTooLarge
 from .functions import SetFunction
-from .sets import ItemSet, feasible_count
+from .sets import ItemSet, feasible_count, ranked_levels
 
 # feasible sets times n: the bits of all masks, and a bound on every per-item
 # loop over the table.  At n=19, k=19 (524,288 sets, the largest admitted) the
@@ -139,23 +137,18 @@ def value_table(spec: SetFunction, k: int) -> FeasibleTable:
 @lru_cache(maxsize=1)
 def _ranked_sets(n: int, k: int) -> tuple[tuple[int, ...], np.ndarray]:
     """The masks of size <= k in ``sort_key`` order and their read-only
-    extend table, built one level at a time from the level below (see the
-    module docstring)."""
+    extend table, built one level at a time from the level below
+    (``sets.ranked_levels``; see the module docstring)."""
     extend = np.empty((feasible_count(n, k - 1), n), dtype=np.int32)
     origin = np.empty(len(extend), dtype=np.int32)  # the rank of P + x, less x
     items = np.arange(n, dtype=np.int32)
-    bits = np.array([1 << b for b in range(n)], dtype=object)
     masks = [0]
-    level_masks = np.zeros(1, dtype=object)
     level_last = np.full(1, -1, dtype=np.int32)
     lo = 0
-    for size in range(k):  # the rows of this level, then the sets one larger
+    # the rows of each level, from the ranks of its children
+    for size, (offset, parent_next, last_next, level_masks) in enumerate(ranked_levels(n, k)):
         hi = lo + len(level_last)
-        counts = n - 1 - level_last
-        # P's j-th child (from 0) is P + (last(P) + 1 + j), at rank hi + j plus
-        # the children of the sets before P; shift[P] is that count less last(P) + 1
-        shift = np.cumsum(counts, dtype=np.int32) - counts - level_last - 1
-        origin[lo:hi] = hi + shift
+        origin[lo:hi] = hi + offset
         rows, last_p = extend[lo:hi], level_last[:, None]
         if size:
             up = extend[parent]  # parent(P) + b, -1 if b is in parent(P)
@@ -165,11 +158,8 @@ def _ranked_sets(n: int, k: int) -> tuple[tuple[int, ...], np.ndarray]:
             rows[np.arange(hi - lo), level_last] = -1  # b = last(P)
             del up
         np.add(origin[lo:hi, None], items, out=rows, where=items > last_p)
-        parent = np.repeat(np.arange(hi - lo, dtype=np.int32), counts)
-        level_last = np.arange(len(parent), dtype=np.int32) - np.repeat(shift, counts)
-        level_masks = level_masks[parent] | bits[level_last]
         masks.extend(level_masks.tolist())
-        parent += lo
+        parent, level_last = parent_next + lo, last_next
         lo = hi
     extend.flags.writeable = False
     return tuple(masks), extend

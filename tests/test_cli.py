@@ -165,6 +165,30 @@ def _spec_file_doc(case):
         "table-key": {"kind": "tabular", "n": 1, "k_max": 1, "table": {"": 0.0, "00": 0.5}},
         "table-key-text": {"kind": "tabular", "n": 1, "k_max": 1, "table": {"": 0.0, "a": 0.5}},
     }
+    # a complete table (n = 3, k_max = 2) with one key or value replaced
+    table = {"": 0, "0": 0.1, "1": 0.2, "2": 0.3, "0,1": 0.4, "0,2": 0.5, "1,2": 0.6}
+    keys = {
+        "leading-zero": "01",
+        "unsorted": "1,0",
+        "repeated": "0,0",
+        "space": " 1",
+        "plus": "+1",
+        "trailing-comma": "1,",
+        "arabic-digit": "\u0661",
+        "item-past-n": "3",
+        "past-k-max": "0,1,2",
+    }
+    for name, key in keys.items():
+        swapped = {k: v for k, v in table.items() if k != "1,2"}
+        swapped[key] = 0.6
+        docs[f"table-key-{name}"] = {"kind": "tabular", "n": 3, "k_max": 2, "table": swapped}
+    values = {"bool": True, "inf": float("inf"), "nan": float("nan")}
+    for name, value in values.items():
+        docs[f"table-value-{name}"] = {
+            "kind": "tabular", "n": 3, "k_max": 2, "table": dict(table, **{"0,1": value})
+        }
+    short = {k: v for k, v in table.items() if k != "0,2"}
+    docs["table-short"] = {"kind": "tabular", "n": 3, "k_max": 2, "table": short}
     return docs[case]
 
 
@@ -183,6 +207,19 @@ def _spec_file_doc(case):
         ("weight-inf", "'weights'"),
         ("table-key", "'table'"),
         ("table-key-text", "'table'"),
+        ("table-key-leading-zero", "field 'table': key '01'"),
+        ("table-key-unsorted", "field 'table': key '1,0'"),
+        ("table-key-repeated", "field 'table': key '0,0'"),
+        ("table-key-space", "field 'table': key ' 1'"),
+        ("table-key-plus", "field 'table': key '+1'"),
+        ("table-key-trailing-comma", "field 'table': key '1,'"),
+        ("table-key-arabic-digit", "field 'table': key '\u0661'"),
+        ("table-key-item-past-n", "field 'table': key '3'"),
+        ("table-key-past-k-max", "table key 0,1,2 larger than k_max=2"),
+        ("table-value-bool", "field 'table': value of '0,1': need a finite number; got True"),
+        ("table-value-inf", "field 'table': value of '0,1': need a finite number; got inf"),
+        ("table-value-nan", "field 'table': value of '0,1': need a finite number; got nan"),
+        ("table-short", "table has 6 entries; a complete table up to cardinality 2 over n=3"),
     ],
 )
 def test_malformed_spec_file_exit_2(tmp_path, capsys, command, case, field):
@@ -484,6 +521,7 @@ def _run_without_cells(tmp_path, argv):
         (["run", "{d}/typo.json"], "field 'chekpoints'"),
         (["verify", "{d}/target.json"], "{d}/target.json: field 'kk'"),
         (["run", "{d}/huge-T.json"], "field 'T_grid'"),
+        (["run", "{d}/many-trials.json"], "field 'trials'"),
     ],
     ids=[
         "verify-dir",
@@ -498,6 +536,7 @@ def _run_without_cells(tmp_path, argv):
         "run-unknown-config-key",
         "verify-unknown-target-key",
         "run-T-past-the-step-counters",
+        "run-trials-past-the-cell-budget",
     ],
 )
 def test_malformed_input_exits_2_in_a_fresh_interpreter(tmp_path, argv, fragment):
@@ -508,6 +547,8 @@ def test_malformed_input_exits_2_in_a_fresh_interpreter(tmp_path, argv, fragment
     (tmp_path / "typo.json").write_text(json.dumps(typo))
     huge = _valid_run_config(tmp_path, T_grid=[2**63])
     (tmp_path / "huge-T.json").write_text(json.dumps(huge))
+    many = _valid_run_config(tmp_path, trials=10**12)
+    (tmp_path / "many-trials.json").write_text(json.dumps(many))
     target = {"function": harmonic_base(6, 2).to_json(), "k": 2, "kk": 1}
     (tmp_path / "target.json").write_text(json.dumps(target))
     (tmp_path / "file").write_text("")
@@ -517,12 +558,15 @@ def test_malformed_input_exits_2_in_a_fresh_interpreter(tmp_path, argv, fragment
     for name, (T, regret) in rows.items():
         row = f"etcg,{T},0,1,{T},0.5,1.5,1.5,{regret}"
         (tmp_path / f"{name}.csv").write_text(f"{header}\n{row}\n")
+    start = time.monotonic()
     proc = _run_without_cells(tmp_path, [a.format(d=tmp_path) for a in argv])
+    assert time.monotonic() - start < 10  # refused at once, before any listing
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and fragment.format(d=tmp_path) in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "a cell ran" not in proc.stderr
     assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_bounds_at_large_k_answers_at_once_in_a_fresh_interpreter(tmp_path):

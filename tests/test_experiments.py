@@ -5,9 +5,10 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_monotone_submodular, tabular_from_spec
@@ -70,6 +71,9 @@ def test_config_roundtrip_and_defaults():
         ),
         ({"T_grid": [16, 16]}, "T_grid"),
         ({"checkpoints": "lin"}, "checkpoints"),
+        ({"trials": experiments.MAX_CELLS + 1}, "trials"),
+        ({"trials": 10**12}, "trials"),
+        ({"T_grid": [16, 17], "trials": experiments.MAX_CELLS // 2 + 1}, "trials"),
     ],
 )
 def test_config_validation_errors(patch, fragment):
@@ -206,6 +210,36 @@ def test_a_tabular_manifest_echoes_its_table(tmp_path):
     assert serial.read_bytes() == pooled.read_bytes()
     echo = json.loads(serial.read_text())["config"]["function"]
     assert config_from_json(dict(doc, function=echo)).function.to_json() == spec.to_json()
+
+
+_json_docs = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63 - 1, max_value=2**80)
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 0.1])
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=6)
+    | st.dictionaries(
+        st.text(max_size=6) | st.sampled_from(['"', "\\", "\n", "\x00", "é", "\u2028", "☃"]),
+        children,
+        max_size=6,
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_json_docs)
+@example(doc={"a": {}, "b": [], "c": [[], {}, [[]]], "d": {"e": [1, {"f": {}}], "g": 2}})
+@example(doc=[-0.0, 5e-324, 1e16, 2**63, 2**64 + 1, -(2**70), True, False, None, "x"])
+@example(doc={"é\"\\\n": 1, "\u00ff": {"\u2603": [], "": None}, "\x7f": [0.5, {}]})
+def test_manifest_writer_equals_the_indented_encoder(doc):
+    expected = json.dumps(doc, indent=2, sort_keys=True)
+    for block in (1, 2, experiments.JSON_BLOCK):  # block edges anywhere in a run
+        with mock.patch.object(experiments, "JSON_BLOCK", block):
+            assert "".join(experiments.indented_json(doc)) == expected
 
 
 _SERIAL_RUN = """

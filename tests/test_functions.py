@@ -1,11 +1,14 @@
+import json
 import math
+import random
+import re
 import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import tabular_from_spec
+from conftest import masks_upto, tabular_from_spec
 from submodbandit import (
     HarmonicInstance,
     ItemSet,
@@ -123,6 +126,50 @@ def test_tabular_validation():
     t = Tabular(2, 1, {0: 0.0, 1: 0.5, 2: 0.1})
     assert evaluate(t, ItemSet.of([0])) == 0.5
 
+    # the decode of a JSON table: a malformed key in a table of the complete
+    # size (n = 3, k_max = 2: 7 entries) is refused with the parser's message
+    good = {"": 0, "0": 0.1, "1": 0.2, "2": 0.3, "0,1": 0.4, "0,2": 0.5, "1,2": 0.6}
+    not_a_key = (
+        "field 'table': key {!r} is not a sorted, comma-joined list of distinct "
+        "items of a complete table"
+    )
+    bad_keys = {
+        "01": not_a_key.format("01"),
+        "1,0": not_a_key.format("1,0"),
+        "0,0": not_a_key.format("0,0"),
+        " 1": not_a_key.format(" 1"),
+        "+1": not_a_key.format("+1"),
+        "1,": not_a_key.format("1,"),
+        "\u0661": not_a_key.format("\u0661"),  # ARABIC-INDIC DIGIT ONE, which int() reads as 1
+        "3": not_a_key.format("3"),  # item >= n
+        "0,1,2": "table key 0,1,2 larger than k_max=2",
+    }
+    for key, message in bad_keys.items():
+        table = dict(good)
+        del table["1,2"]
+        table[key] = 0.6
+        doc = {"kind": "tabular", "n": 3, "k_max": 2, "table": table}
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            spec_from_json(doc)
+    not_a_value = "field 'table': value of {!r}: need a finite number; got {}"
+    bad_tables = [
+        (
+            {k: v for k, v in good.items() if k != "0,2"},
+            "table has 6 entries; a complete table up to cardinality 2 over n=3 needs 7",
+        ),
+        (dict(good, **{"0,1": True}), not_a_value.format("0,1", True)),
+        (dict(good, **{"2": math.inf}), not_a_value.format("2", "inf")),
+        (dict(good, **{"2": math.nan}), not_a_value.format("2", "nan")),
+        # the first refusal in table order: a key before a value, a value before a key
+        ({"": 0, "1,0": 0.1, "0": math.nan}, not_a_key.format("1,0")),
+        ({"": 0, "0": math.nan, "1,0": 0.1}, not_a_value.format("0", "nan")),
+        (dict(good, **{"0": 1.5}), "value 1.5 for 0 outside [0, 1]"),
+    ]
+    for table, message in bad_tables:
+        doc = {"kind": "tabular", "n": 3, "k_max": 2, "table": table}
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            spec_from_json(doc)
+
 
 def test_tabular_size_check_stops_past_the_table():
     # a complete table at n = k_max = 20,000 has over 2^19,999 entries: counting
@@ -134,6 +181,9 @@ def test_tabular_size_check_stops_past_the_table():
     assert time.perf_counter() - start < 1.0
     with pytest.raises(ValueError, match=r"^table has 2 entries; .* n=2 needs 3$"):
         Tabular(2, 1, {0: 0.0, 1: 0.5})
+    # complete up to size 1, so the count reaches the entries just before the last size
+    with pytest.raises(ValueError, match=r"^table has 3 entries; .* n=2 needs 4$"):
+        Tabular(2, 2, {0: 0.0, 1: 0.5, 2: 0.5})
 
 
 def test_evaluate_deterministic_and_bounded():
@@ -193,6 +243,22 @@ def test_tabular_json_roundtrip_exact():
     assert again == table
     for mask in table.table:
         assert again.value_of_mask(mask) == spec.value_of_mask(mask)
+
+    # the echo renders every mask as the reference does, with the table's own
+    # values (ints stay ints), whatever the order of the table it is given
+    rng = random.Random(3)
+    for n, k in [(0, 0), (1, 1), (7, 3), (20, 4), (64, 2), (70, 2)]:
+        masks = list(masks_upto(n, k))
+        rng.shuffle(masks)
+        for value in (lambda mask: int(mask != 0), lambda mask: (mask % 1009) / 1009):
+            t = Tabular(n, k, {mask: value(mask) for mask in masks})
+            reference = {
+                ",".join(map(str, ItemSet(m).members())): v for m, v in sorted(t.table.items())
+            }
+            assert json.dumps(t.to_json(), sort_keys=True) == json.dumps(
+                {"kind": "tabular", "n": n, "k_max": k, "table": reference}, sort_keys=True
+            )
+            assert spec_from_json(t.to_json()) == t
 
 
 def test_tabular_from_spec_counts():

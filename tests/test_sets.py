@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import masks_upto
 from submodbandit import ItemSet
-from submodbandit.sets import sort_key
+from submodbandit.sets import ranked_keys, render_mask, sort_key
 
 
 def test_equality_is_order_independent():
@@ -77,3 +77,6 @@ def test_pickle_and_deepcopy_roundtrip():
 def test_masks_upto_is_every_small_mask_in_sort_key_order(n, k):
     expected = sorted((m for m in range(1 << n) if m.bit_count() <= k), key=sort_key)
     assert list(masks_upto(n, k)) == expected
+    if 0 <= k <= n:  # the level walk lists them too, with their rendered keys
+        assert ranked_keys(n, k) == (expected, [render_mask(m) for m in expected])
+
