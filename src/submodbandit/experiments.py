@@ -336,11 +336,13 @@ def run_experiment(
 def indented_json(doc) -> Iterator[str]:
     """The text of ``json.dumps(doc, indent=2, sort_keys=True)``, in chunks.
 
-    Only the nesting is walked in Python.  Each run of scalar entries of an
-    object (in sorted key order) or of a list goes through the C encoder,
-    ``JSON_BLOCK`` entries at a time, with the separators of its
-    indentation, so a flat table of any size is encoded at C speed in
-    bounded blocks.  Object keys must be strings, as in a JSON document.
+    Only the nesting is walked in Python.  A container of at most
+    ``JSON_BLOCK`` entries, none of them a container, is one C-encoder call
+    (``sort_keys=True``) with the separators of its indentation; in any other
+    container each run of scalar entries of an object (in sorted key order)
+    or of a list goes through the C encoder, ``JSON_BLOCK`` entries at a
+    time, so a flat table of any size is encoded at C speed in bounded
+    blocks.  Object keys must be strings, as in a JSON document.
     """
     return _indented(doc, "\n")
 
@@ -351,6 +353,12 @@ def _indented(value, newline: str) -> Iterator[str]:
         return
     is_object = isinstance(value, dict)
     inner = newline + "  "
+    entries = value.values() if is_object else value
+    if len(value) <= JSON_BLOCK and all(not isinstance(e, _CONTAINERS) for e in entries):
+        # a block of scalars: one C-encoder call, brackets moved to their lines
+        text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
+        yield text[0] + inner + text[1:-1] + newline + text[-1]
+        return
     sep = ("{" if is_object else "[") + inner
     items = ((key, value[key]) for key in sorted(value)) if is_object else enumerate(value)
     for nested, run in itertools.groupby(items, lambda item: isinstance(item[1], _CONTAINERS)):

@@ -21,7 +21,8 @@ orders lexicographically, and a child costs its parent's cost plus one slack,
 the additions the chain's own sum makes, in the same order.  The last level
 is walked in blocks, which bound the memory.  When there are more than
 FULL_ENUM_CAP orders it costs a seeded sample instead, drawn once per (n, k)
-and kept for every spec of that shape, in blocks, one gather per chain level.
+by permuting one reused block of rows in place and kept for every spec of
+that shape, and costs it in blocks, one gather per chain level.
 Every routine here walks the rank-indexed table of ``structure.value_table``:
 a chain step S -> S + a is ``extend[rank(S), a]`` and the best marginal of S
 is ``best_extension[rank(S)]``.
@@ -50,7 +51,7 @@ FULL_ENUM_CAP = 300_000
 SAMPLE_SEED = 0
 # seeded orders costed past the cap, a whole number of blocks: drawn once per
 # (n, k) and kept, read-only, in the smallest unsigned dtype that holds n - 1
-# (250 KB at n = 20, k = 5)
+# (250 KB at n = 20, k = 5), through one reused block of that dtype (100 KB)
 SAMPLE_SIZE = 10 * _BLOCK_ROWS
 # slack of the approximation-guarantee comparison
 GUARANTEE_TOL = 1e-9
@@ -239,11 +240,16 @@ def _exhaustive_min(table: FeasibleTable, k: int) -> tuple[float, tuple[int, ...
 def _sample(n: int, k: int) -> np.ndarray:
     """The SAMPLE_SIZE seeded orders of k of n items, drawn once per (n, k):
     row by row, the first k items of successive ``rng.permutation(n)`` draws,
-    in the smallest unsigned dtype that holds n - 1, read-only."""
+    in the smallest unsigned dtype that holds n - 1, read-only.  Each block of
+    _BLOCK_ROWS draws permutes one reused block of that dtype in place, which
+    draws the same orders as permuting a fresh int64 tile of ``arange(n)``."""
     rng = np.random.default_rng(SAMPLE_SEED)
-    orders = np.empty((SAMPLE_SIZE, k), dtype=np.min_scalar_type(n - 1))
+    items = np.arange(n, dtype=np.min_scalar_type(n - 1))
+    orders = np.empty((SAMPLE_SIZE, k), dtype=items.dtype)
+    block = np.empty((_BLOCK_ROWS, n), dtype=items.dtype)
     for lo in range(0, SAMPLE_SIZE, _BLOCK_ROWS):
-        block = rng.permuted(np.tile(np.arange(n), (_BLOCK_ROWS, 1)), axis=1)
+        block[:] = items
+        rng.permuted(block, axis=1, out=block)
         orders[lo : lo + _BLOCK_ROWS] = block[:, :k]
     orders.flags.writeable = False
     return orders

@@ -41,6 +41,14 @@ which is equivalent to the usual diminishing-returns inequality on the
 truncated domain (telescope from A to B one element at a time; every
 intermediate set stays within the cardinality cap).  A failing check names
 the first violation in (rank, a[, b]) order as its witness.
+
+Every whole-table pass (``best_extension``, ``curvature`` and the two checks)
+walks the rows of ``extend`` in blocks of about ``_BLOCK_CELLS`` entries
+(``FeasibleTable.blocks``), so no pass builds an array of every row times n:
+a dense gather of ``values[extend]`` is 8 bytes a cell, 80 MB at (19, 19),
+several times over, where a block is 128 KB.  Blocks go in rank order, so a
+check stops at the first block that holds a violation, and that block holds
+the first one.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -57,11 +66,15 @@ from .sets import ItemSet, feasible_count, ranked_levels
 
 # feasible sets times n: the bits of all masks, and a bound on every per-item
 # loop over the table.  At n=19, k=19 (524,288 sets, the largest admitted) the
-# build takes about 0.7 s and a fresh interpreter peaks at 115 MB, and
-# ``verify.run_checks`` on it takes about 5 s and 300 MB (2-CPU Xeon); at
-# k=1 and k=2 the build stays under 0.05 s and 35 MB
+# build takes about 0.2 s and a fresh interpreter peaks at 118 MB, and
+# ``verify.run_checks`` on it takes about 1.9 s and peaks at 122 MB, since
+# the checks walk the table in blocks (2-CPU Xeon); at k=1 and k=2 the build
+# stays under 0.05 s and 35 MB
 MAX_TABLE_BITS = 10_000_000
 CHECK_TOL = 1e-12
+# entries of ``extend`` per block of a whole-table pass (``FeasibleTable.blocks``):
+# a float64 temporary of one block is 128 KB
+_BLOCK_CELLS = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,15 +96,28 @@ class FeasibleTable:
         """Ranks of the sets of exactly ``size`` items."""
         return slice(feasible_count(self.n, size - 1), feasible_count(self.n, size))
 
+    def blocks(self, stop: int | None = None) -> Iterator[slice]:
+        """The ranks below ``stop`` (every row of ``extend`` by default), in
+        ascending blocks of about ``_BLOCK_CELLS`` entries of ``extend``."""
+        stop = len(self.extend) if stop is None else stop
+        step = max(1, _BLOCK_CELLS // max(1, self.n))
+        for lo in range(0, stop, step):
+            yield slice(lo, min(lo + step, stop))
+
     def grown(self, ranks) -> np.ndarray:
         """values[extend[ranks]], with -inf where the item is already in the set."""
         ext = self.extend[ranks]
-        return np.where(ext >= 0, self.values[ext], -np.inf)
+        out = self.values[ext]
+        out[ext < 0] = -np.inf
+        return out
 
     @cached_property
     def best_extension(self) -> np.ndarray:
         """max over b not in S of f(S + b), for every S with |S| < k."""
-        return self.grown(slice(None)).max(axis=1)
+        best = np.empty(len(self.extend))
+        for rows in self.blocks():
+            self.grown(rows).max(axis=1, out=best[rows])
+        return best
 
     @cached_property
     def curvature(self) -> float:
@@ -104,12 +130,20 @@ class FeasibleTable:
         if not len(self.extend):
             return 0.0  # k = 0: no set can grow
         single = self.values[self.extend[0]]  # row 0 is the empty set
-        counted = (self.extend >= 0) & (single > 0.0)
-        if not counted.any():
+        positive = single > 0.0
+        if not positive.any():
             return 0.0  # every singleton is worth 0
-        gains = self.values[self.extend] - self.values[: len(self.extend), None]
-        ratios = gains / np.where(single > 0.0, single, 1.0)
-        return 1.0 - float(ratios[counted].min())
+        scale = np.where(positive, single, 1.0)
+        worst = math.inf
+        for rows in self.blocks():
+            ext = self.extend[rows]
+            ratios = self.values[ext]
+            ratios -= self.values[rows, None]
+            ratios /= scale
+            counted = ext >= 0
+            counted &= positive
+            worst = min(worst, float(ratios.min(where=counted, initial=math.inf)))
+        return 1.0 - worst
 
 
 def value_table(spec: SetFunction, k: int) -> FeasibleTable:
@@ -180,13 +214,14 @@ class SubmodularResult:
 def check_monotone(spec: SetFunction, k: int) -> MonotoneResult:
     """ok iff f(A) <= f(A + a) + CHECK_TOL for all |A| < k, a not in A."""
     table = value_table(spec, k)
-    rows = len(table.extend)
-    grown = table.values[table.extend]
-    drops = (table.extend >= 0) & (grown < table.values[:rows, None] - CHECK_TOL)
-    if not drops.any():
-        return MonotoneResult(True)
-    r, a = np.unravel_index(np.argmax(drops), drops.shape)
-    return MonotoneResult(False, (ItemSet(table.masks[r]), int(a)))
+    for rows in table.blocks():
+        ext = table.extend[rows]
+        drops = table.values[ext] < table.values[rows, None] - CHECK_TOL
+        drops &= ext >= 0
+        if drops.any():
+            r, a = np.unravel_index(np.argmax(drops), drops.shape)
+            return MonotoneResult(False, (ItemSet(table.masks[rows.start + r]), int(a)))
+    return MonotoneResult(True)
 
 
 def check_submodular(spec: SetFunction, k: int) -> SubmodularResult:
@@ -196,26 +231,30 @@ def check_submodular(spec: SetFunction, k: int) -> SubmodularResult:
     a outside B and f(A + a) - f(A) < f(B + a) - f(B) - CHECK_TOL.
     """
     table = value_table(spec, k)
-    vals, extend = table.values, table.extend
-    small = np.arange(feasible_count(spec.n, k - 2))
-    first = None  # (rank of A, a, b) of the first violation
-    for a in range(spec.n):
-        with_a = extend[small, a]
-        keep = with_a >= 0
-        base, with_a = small[keep], with_a[keep]
-        gain_small = vals[with_a] - vals[base]
-        # b ranges over items outside A + a; extend[with_a] is -1 elsewhere
-        gain_large = table.grown(with_a) - vals[extend[base]]
-        bad = gain_small[:, None] < gain_large - CHECK_TOL
-        if bad.any():
-            i, b = np.unravel_index(np.argmax(bad), bad.shape)
-            if first is None or base[i] < first[0]:
-                first = (int(base[i]), a, int(b))
-    if first is None:
-        return SubmodularResult(True)
-    r, a, b = first
-    mask = table.masks[r]
-    return SubmodularResult(False, (ItemSet(mask), ItemSet(mask | (1 << b)), a))
+    vals = table.values
+    for rows in table.blocks(feasible_count(spec.n, k - 2)):
+        ext = table.extend[rows]
+        at_b = vals[ext]  # f(A + b); the b in A are masked by grown below
+        first = None  # (row of A in the block, a, b) of the block's first violation
+        for a in range(spec.n):
+            with_a = ext[:, a]
+            keep = with_a >= 0
+            base, with_a = np.flatnonzero(keep), with_a[keep]
+            gain_small = vals[with_a] - vals[rows][keep]
+            # b ranges over items outside A + a; extend[with_a] is -1 elsewhere
+            gain_large = table.grown(with_a)
+            gain_large -= at_b[keep]
+            gain_large -= CHECK_TOL
+            bad = gain_small[:, None] < gain_large
+            if bad.any():
+                i, b = np.unravel_index(np.argmax(bad), bad.shape)
+                if first is None or base[i] < first[0]:
+                    first = (int(base[i]), a, int(b))
+        if first is not None:
+            i, a, b = first
+            mask = table.masks[rows.start + i]
+            return SubmodularResult(False, (ItemSet(mask), ItemSet(mask | (1 << b)), a))
+    return SubmodularResult(True)
 
 
 def curvature(spec: SetFunction, k: int) -> float:

@@ -7,7 +7,10 @@ explicit ``Tabular``.
 
 The naive checkers quantify over every (A, B, a) triple straight from the
 definitions; they are deliberately independent of the package's vectorized
-implementations so the two routes cross-check each other.
+implementations so the two routes cross-check each other.  The dense passes
+(``dense_best_extension`` and the rest) are the whole-table passes of
+``structure`` gathered over every row at once, the reference for its block
+walk.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from itertools import combinations
 import numpy as np
 
 from submodbandit import ItemSet, Tabular, value_table
+from submodbandit.sets import feasible_count
+from submodbandit.structure import CHECK_TOL, MonotoneResult, SubmodularResult
 
 
 def masks_upto(n: int, k: int):
@@ -73,6 +78,68 @@ def random_monotone_submodular(seed: int, n: int, k: int) -> Tabular:
     peak = max(raw(m) for m in masks)
     scale = 0.97 / peak if peak > 0 else 1.0
     return Tabular(n, k, {m: raw(m) * scale for m in masks})
+
+
+def random_table(seed: int, n: int, k: int) -> Tabular:
+    """Uniform values on every nonempty set: mostly neither monotone nor
+    submodular."""
+    rng = np.random.default_rng(seed)
+    return Tabular(n, k, {m: 0.0 if m == 0 else float(rng.uniform()) for m in masks_upto(n, k)})
+
+
+def _dense_grown(table, ranks) -> np.ndarray:
+    ext = table.extend[ranks]
+    return np.where(ext >= 0, table.values[ext], -np.inf)
+
+
+def dense_best_extension(table) -> np.ndarray:
+    return _dense_grown(table, slice(None)).max(axis=1)
+
+
+def dense_curvature(table) -> float:
+    if not len(table.extend):
+        return 0.0
+    single = table.values[table.extend[0]]
+    counted = (table.extend >= 0) & (single > 0.0)
+    if not counted.any():
+        return 0.0
+    gains = table.values[table.extend] - table.values[: len(table.extend), None]
+    ratios = gains / np.where(single > 0.0, single, 1.0)
+    return 1.0 - float(ratios[counted].min())
+
+
+def dense_check_monotone(spec, k: int) -> MonotoneResult:
+    table = value_table(spec, k)
+    rows = len(table.extend)
+    grown = table.values[table.extend]
+    drops = (table.extend >= 0) & (grown < table.values[:rows, None] - CHECK_TOL)
+    if not drops.any():
+        return MonotoneResult(True)
+    r, a = np.unravel_index(np.argmax(drops), drops.shape)
+    return MonotoneResult(False, (ItemSet(table.masks[r]), int(a)))
+
+
+def dense_check_submodular(spec, k: int) -> SubmodularResult:
+    table = value_table(spec, k)
+    vals, extend = table.values, table.extend
+    small = np.arange(feasible_count(spec.n, k - 2))
+    first = None
+    for a in range(spec.n):
+        with_a = extend[small, a]
+        keep = with_a >= 0
+        base, with_a = small[keep], with_a[keep]
+        gain_small = vals[with_a] - vals[base]
+        gain_large = _dense_grown(table, with_a) - vals[extend[base]]
+        bad = gain_small[:, None] < gain_large - CHECK_TOL
+        if bad.any():
+            i, b = np.unravel_index(np.argmax(bad), bad.shape)
+            if first is None or base[i] < first[0]:
+                first = (int(base[i]), a, int(b))
+    if first is None:
+        return SubmodularResult(True)
+    r, a, b = first
+    mask = table.masks[r]
+    return SubmodularResult(False, (ItemSet(mask), ItemSet(mask | (1 << b)), a))
 
 
 def subsets_upto(n: int, k: int):

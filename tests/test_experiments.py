@@ -242,6 +242,19 @@ def test_manifest_writer_equals_the_indented_encoder(doc):
             assert "".join(experiments.indented_json(doc)) == expected
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, experiments.JSON_BLOCK])
+def test_manifest_writer_encodes_scalar_containers_at_the_block_edge(block):
+    # all-scalar objects and lists just below, at and above JSON_BLOCK
+    # entries: one C-encoder call up to the block, runs of blocks past it
+    for size in (block - 1, block, block + 1):
+        obj = {f"k{(7 * i) % (size + 1):05d}-{i}": [0.1 * i, i, None, True, "é\n"][i % 5] for i in range(size)}
+        items = list(obj.values())
+        for doc in (obj, items, {"z": obj, "a": [items, {}], "m": 1}, [obj, items, 2.5]):
+            expected = json.dumps(doc, indent=2, sort_keys=True)
+            with mock.patch.object(experiments, "JSON_BLOCK", block):
+                assert "".join(experiments.indented_json(doc)) == expected
+
+
 _SERIAL_RUN = """
 import json, sys
 from submodbandit.cli import main

@@ -200,6 +200,30 @@ def test_specs_of_one_over_cap_shape_draw_the_sample_once(monkeypatch):
         sample[0, 0] = 0
 
 
+# (300, 2): items past uint8, drawn in uint16
+@pytest.mark.parametrize("n, k", [(20, 5), (12, 4), (30, 3), (9, 9), (47, 4), (300, 2)])
+def test_sample_equals_permuting_a_fresh_tile_per_block(n, k):
+    rng = np.random.default_rng(SAMPLE_SEED)
+    tiled = np.empty((SAMPLE_SIZE, k), dtype=np.min_scalar_type(n - 1))
+    for lo in range(0, SAMPLE_SIZE, greedy._BLOCK_ROWS):
+        block = rng.permuted(np.tile(np.arange(n), (greedy._BLOCK_ROWS, 1)), axis=1)
+        tiled[lo : lo + greedy._BLOCK_ROWS] = block[:, :k]
+    sample = greedy._sample.__wrapped__(n, k)
+    assert sample.dtype == tiled.dtype and np.array_equal(sample, tiled)
+
+
+def test_sample_memory_stays_within_its_block():
+    # the sample is 400 KB; its draw holds one block of its dtype beside it
+    greedy._sample.cache_clear()
+    tracemalloc.start()
+    try:
+        greedy._sample(16, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
+
+
 @pytest.mark.parametrize("n, k", [(24, 4), (67, 3)])
 def test_enumeration_memory_stays_within_its_blocks(n, k):
     # near the cap (255,024 and 287,430 orders) the last level is walked

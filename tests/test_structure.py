@@ -1,18 +1,24 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    dense_best_extension,
+    dense_check_monotone,
+    dense_check_submodular,
+    dense_curvature,
     masks_upto,
     naive_curvature,
     naive_is_monotone,
     naive_is_submodular,
     random_monotone_submodular,
+    random_table,
     tabular_from_spec,
 )
 from submodbandit import (
@@ -31,7 +37,8 @@ from submodbandit import (
 from submodbandit.catalog import experiment_cover, harmonic_base, harmonic_elevated
 from submodbandit.errors import GroundSetTooLarge
 from submodbandit.sets import feasible_count
-from submodbandit.structure import MAX_TABLE_BITS
+from submodbandit import structure
+from submodbandit.structure import MAX_TABLE_BITS, FeasibleTable
 from submodbandit.verify import run_checks
 
 
@@ -264,8 +271,7 @@ def test_failing_checks_agree_with_naive_and_name_first_violation():
     # (rank of A, a, b) order
     n, k = 5, 3
     for seed in range(12):
-        rng = np.random.default_rng(seed)
-        spec = Tabular(n, k, {m: 0.0 if m == 0 else float(rng.uniform()) for m in masks_upto(n, k)})
+        spec = random_table(seed, n, k)
         f = spec.value_of_mask
 
         def gain(A, a):
@@ -290,3 +296,94 @@ def test_failing_checks_agree_with_naive_and_name_first_violation():
         assert sub.ok == naive_is_submodular(spec, k) == (not grows)
         assert mono.witness == (drops[0] if drops else None)
         assert sub.witness == (grows[0] if grows else None)
+
+
+def _assert_blocks_equal_dense(spec, rows):
+    # blocks of `rows` rows split every table of more rows; the verdicts,
+    # witnesses, floats and arrays are the dense passes', at every size
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_BLOCK_CELLS", rows * spec.n)
+        for k in range(spec.k_max + 1):
+            dense = value_table(spec, k)
+            table = FeasibleTable(dense.n, dense.masks, dense.values, dense.extend)  # nothing cached
+            assert len(list(table.blocks())) == -(-len(table.extend) // rows)
+            assert check_monotone(spec, k) == dense_check_monotone(spec, k), (spec, k)
+            assert check_submodular(spec, k) == dense_check_submodular(spec, k), (spec, k)
+            assert table.curvature.hex() == dense_curvature(dense).hex(), (spec, k)
+            assert np.array_equal(table.best_extension, dense_best_extension(dense)), (spec, k)
+
+
+def _zero_singletons(seed, n, k):
+    spec = random_table(seed, n, k)
+    return Tabular(n, k, {m: 0.0 if m.bit_count() <= 1 else v for m, v in spec.table.items()})
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        random_table(0, 6, 0),  # k = 0: no row can grow
+        random_table(1, 7, 1),  # k = 1: no base rows for check_submodular
+        _zero_singletons(2, 6, 4),  # every singleton worth 0
+        random_table(3, 70, 2),  # masks past int64
+        harmonic_base(70, 2),
+        UniqueGreedyPath(70, 2, 0.1),
+        random_monotone_submodular(4, n=7, k=5),  # passes every check: walks every block
+    ],
+    ids=["k0", "k1", "zero-singletons", "random-n70", "harmonic-n70", "unique-path-n70", "passing"],
+)
+def test_block_walk_equals_dense_passes_on_edge_tables(spec, rows):
+    _assert_blocks_equal_dense(spec, rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+    st.sampled_from(["random", "perturbed", "harmonic"]),
+    st.integers(1, 3),
+    st.integers(0, 2**16),
+)
+@example((6, 3), "harmonic", 2, 0)
+@example((7, 7), "perturbed", 3, 1)
+def test_block_walk_equals_dense_passes(shape, family, rows, seed):
+    n, k = shape
+    if family == "random":  # mostly neither monotone nor submodular
+        specs = [random_table(seed, n, k)]
+    elif family == "perturbed":  # a violation anywhere in the table
+        table = dict(random_monotone_submodular(seed, n=n, k=k).table)
+        rng = np.random.default_rng(seed)
+        masks = list(table)[1:]  # the empty set stays at 0
+        if masks:
+            table[masks[rng.integers(len(masks))]] = float(rng.uniform())
+        specs = [Tabular(n, k, table)]
+    else:  # submodular at delta <= 1/(8 k^2), not past 1/(2k(2k-1))
+        specs = list(_harmonic_family(n, k, (0.01, 0.05, 0.3)[seed % 3], seed)) if k else []
+    for spec in specs:
+        _assert_blocks_equal_dense(spec, rows)
+
+
+@pytest.mark.parametrize(
+    "spec", [harmonic_base(16, 8), UniqueGreedyPath(16, 8, 0.2)], ids=["harmonic", "unique-path"]
+)
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda spec, table: table.best_extension,
+        lambda spec, table: check_monotone(spec, 8),
+        lambda spec, table: check_submodular(spec, 8),
+        lambda spec, table: table.curvature,
+    ],
+    ids=["best_extension", "check_monotone", "check_submodular", "curvature"],
+)
+def test_whole_table_passes_stay_within_their_blocks(spec, check):
+    # 26,333 rows of 16 items: a dense float64 temporary is 3.2 MB
+    built = value_table(spec, 8)
+    table = FeasibleTable(built.n, built.masks, built.values, built.extend)  # nothing cached
+    assert len(table.extend) * table.n * 8 > 3 * 2**20
+    tracemalloc.start()
+    try:
+        check(spec, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
