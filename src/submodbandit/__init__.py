@@ -12,7 +12,6 @@ from .analysis import (
     BenchmarkSummary,
     BoundsSheet,
     CheckpointRow,
-    RegretReport,
     auto_stop_level,
     benchmark_summary,
     compute_bounds,
@@ -20,7 +19,6 @@ from .analysis import (
     i_star,
     kl_between,
     minimax_lower_bound,
-    regret_report,
     subucb_regret_bound,
 )
 from .envs import BanditEnv, Trajectory
@@ -69,7 +67,6 @@ __all__ = [
     "ItemSet",
     "MonotoneResult",
     "Policy",
-    "RegretReport",
     "SetFunction",
     "SubmodularResult",
     "Tabular",
@@ -96,7 +93,6 @@ __all__ = [
     "kl_between",
     "minimax_lower_bound",
     "policy_from_json",
-    "regret_report",
     "spec_from_json",
     "subucb_regret_bound",
     "value_table",

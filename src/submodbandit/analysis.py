@@ -1,8 +1,8 @@
 """Regret accounting, closed-form bound evaluators and the KL diagnostic.
 
 Regret is measured as pseudo-regret: cumulative sums use the true values of
-the pulled sets, never the noisy observations.  Three benchmarks are
-reported per trajectory:
+the pulled sets, never the noisy observations.  A :class:`RegretMeter`
+meters a run as it goes, chunk by chunk, against three benchmarks:
 
 * ``regret_opt``   -- against the exact optimum f(S*),
 * ``regret_alpha`` -- against ratio(curvature) * f(S*),
@@ -21,7 +21,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .envs import BanditEnv
 from .functions import SetFunction
 from .greedy import GreedyChain, brute_force_opt, greedy_benchmark
 from .sets import ItemSet
@@ -164,17 +163,9 @@ class CheckpointRow:
     regret_gr: float
 
 
-@dataclass(frozen=True)
-class RegretReport:
-    f_star: float
-    alpha: float
-    benchmark: float
-    checkpoints: tuple[CheckpointRow, ...]
-
-
 class RegretMeter:
     """The checkpoint rows of a run's pseudo-regret against ``summary``, fed
-    the true values of its pulls in order, in pieces of any length.  The
+    its pulls in order, as ranks of its table, in pieces of any length.  The
     cumulative value is one running sum from -0.0, which ``np.cumsum`` adds in
     sequence, so no cut changes a bit.  -0.0, not 0.0, is the exact additive
     identity (0.0 + -0.0 is 0.0), so the sum is bit for bit ``np.cumsum`` of
@@ -190,22 +181,13 @@ class RegretMeter:
         return self.t
 
     def extend(self, table: FeasibleTable, codes: np.ndarray, rewards: np.ndarray) -> None:
-        """Meter a chunk of a run coded as ranks of ``table``; the rewards are not read."""
+        """Meter a chunk of a run coded as ranks of ``table``; the rewards are
+        not read.  The running sum goes in front of the chunk's values, and
+        the checkpoints passed are read off its cumsum."""
         cums = np.empty(len(codes) + 1)
         # the codes are ranks of the table, so "clip" moves none; unlike the
         # default "raise", it gathers straight into ``out`` with no buffer
         np.take(table.values, codes, out=cums[1:], mode="clip")
-        self._count(cums)
-
-    def add(self, values: np.ndarray) -> None:
-        """Meter the next pulls, worth ``values``."""
-        cums = np.empty(len(values) + 1)
-        cums[1:] = values
-        self._count(cums)
-
-    def _count(self, cums: np.ndarray) -> None:
-        """Meter the pulls worth ``cums[1:]``: the running sum goes in front,
-        and the checkpoints passed are read off its cumsum."""
         cums[0] = self.cum
         np.cumsum(cums, out=cums)
         start, self.t, self.cum = self.t, self.t + len(cums) - 1, float(cums[-1])
@@ -224,31 +206,6 @@ class RegretMeter:
             )
 
 
-def regret_report(
-    env: BanditEnv, summary: BenchmarkSummary, checkpoints: Iterable[int]
-) -> RegretReport:
-    """Pseudo-regret of ``env``'s trajectory against the optimum, its
-    ratio-scaled value and B, all taken from ``summary``, by a
-    :class:`RegretMeter` fed the trajectory's values in one piece.  Pulled
-    values come from the trajectory, which holds the true value of every
-    set it pulled; the spec is not evaluated.
-    """
-    traj = env.trajectory
-    cps = sorted(set(int(t) for t in checkpoints))
-    if cps and (cps[0] < 1 or cps[-1] > len(traj)):
-        raise ValueError(
-            f"checkpoints must lie in [1, {len(traj)}]; got {cps[0]}..{cps[-1]}"
-        )
-    meter = RegretMeter(summary, cps)
-    meter.add(traj.values())
-    return RegretReport(
-        f_star=summary.f_star,
-        alpha=summary.alpha,
-        benchmark=summary.benchmark,
-        checkpoints=tuple(meter.rows),
-    )
-
-
 def kl_between(
     spec0: SetFunction,
     spec1: SetFunction,
@@ -261,8 +218,8 @@ def kl_between(
     given multiplicities.  Symmetric in (spec0, spec1) and additive over
     disjoint count maps.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive; got {sigma}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive; got {sigma}")
     total = 0.0
     for items, count in counts.items():
         if count < 0:

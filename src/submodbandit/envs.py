@@ -1,14 +1,14 @@
 """Stochastic bandit oracle around a noiseless set function.
 
-A :class:`BanditEnv` owns one seeded Gaussian noise stream and records every
-pull with the pulled set's true value.  Identical (spec, sigma, seed) and
-identical pull sequences produce bit-identical reward sequences.  A single
-pull (``pull``) and a policy run, which the lockstep engine draws in blocks
-(``fill_noise``) and hands to the env's record chunk by chunk
-(``trajectory.extend``), read that stream alike, one value per pull in pull
-order: the generator's normal stream does not depend on how the draws are
-chunked.  Rewards are *not* clipped: the mean lies in [0, 1] but
-observations may leave it.
+A :class:`BanditEnv` owns one seeded Gaussian noise stream and a record of
+its pulls.  A policy run, which the lockstep engine draws in blocks
+(``fill_noise``), hands the env's record its steps chunk by chunk
+(``trajectory.extend``), each coded as a rank of the run's feasible-set
+table, which holds the true value of every pulled set.  The stream gives one
+value per pull in pull order, and the generator's normal stream does not
+depend on how the draws are chunked, so identical (spec, sigma, seed) and
+identical pull sequences produce bit-identical reward sequences.  Rewards
+are *not* clipped: the mean lies in [0, 1] but observations may leave it.
 """
 
 from __future__ import annotations
@@ -16,38 +16,44 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import Counter
 
 import numpy as np
 
 from .functions import SetFunction
-from .sets import ItemSet, render_mask
+from .sets import render_mask
 from .structure import FeasibleTable
+
+# the table of a trajectory with no steps: no sets and no values
+_NO_TABLE = FeasibleTable(0, (), np.empty(0), np.empty((0, 0), np.int64))
 
 
 class Trajectory:
     """Time-ordered record of pulled sets, their true values and the rewards.
 
-    The record is compact: ``_masks`` lists sets and ``_values`` their true
-    values, and the first ``_len`` entries of ``_codes`` and ``_rewards``
-    hold each step's position in that table and its reward.  ``extend``
-    appends a chunk of a run coded as ranks of its feasible-set table, which
-    an empty trajectory takes by reference; ``append`` adds one pull, and
-    first copies such a table into a list of its own.  ``to_csv`` writes the
-    sets and rewards; the CSV form holds no values, so it is write-only.
+    The record is compact: the first ``_len`` entries of ``_codes`` and
+    ``_rewards`` hold each step's rank in ``_table``, the feasible-set table
+    of the run, which the trajectory takes by reference from its first
+    chunk, and its reward.  ``to_csv`` writes the sets and rewards; the CSV
+    form holds no values, so it is write-only.
     """
 
-    __slots__ = ("_masks", "_values", "_codes", "_rewards", "_len")
+    __slots__ = ("_table", "_codes", "_rewards", "_len")
 
     def __init__(self):
-        self._masks: list[int] | tuple[int, ...] = []
-        self._values: list[float] | np.ndarray = []
+        self._table = _NO_TABLE
         self._codes = np.empty(0, np.int32)
         self._rewards = np.empty(0)
         self._len = 0
 
-    def _store(self, codes, rewards) -> None:
-        """Append steps coded in the current table; the arrays grow by doubling."""
+    def extend(self, table: FeasibleTable, codes: np.ndarray, rewards: np.ndarray) -> None:
+        """Append one chunk of a run, one step per code: step i pulled the set
+        of rank ``codes[i]`` in ``table`` and observed ``rewards[i]``; both
+        arrays are copied, into arrays that grow by doubling.  ValueError if
+        the trajectory's earlier steps are coded in any other table."""
+        if not self._len:
+            self._table = table
+        elif table is not self._table:
+            raise ValueError("extend needs the table of the trajectory's earlier steps")
         end = self._len + len(codes)
         if end > self._codes.size:
             size = max(end, 2 * self._codes.size, 64)
@@ -56,54 +62,19 @@ class Trajectory:
         self._rewards[self._len : end] = rewards
         self._len = end
 
-    def append(self, mask: int, value: float, reward: float) -> None:
-        """Append one step: the set ``mask``, worth ``value``, observed ``reward``."""
-        if isinstance(self._values, np.ndarray):  # a run's table: add to a copy of it
-            self._masks, self._values = list(self._masks), self._values.tolist()
-        self._masks.append(mask)
-        self._values.append(value)
-        self._store([len(self._masks) - 1], [reward])
-
-    def extend(self, table: FeasibleTable, codes: np.ndarray, rewards: np.ndarray) -> None:
-        """Append one chunk of a run, one step per code: step i pulled the set
-        of rank ``codes[i]`` in ``table`` and observed ``rewards[i]``; both
-        arrays are copied.  ValueError if the trajectory's earlier steps are
-        coded in any other table."""
-        if not self._len:
-            self._masks, self._values = table.masks, table.values
-        elif self._values is not table.values:
-            raise ValueError("extend needs the table of the trajectory's earlier steps")
-        self._store(codes, rewards)
-
     def __len__(self) -> int:
         return self._len
 
     def masks(self) -> list[int]:
-        table = self._masks
-        return [table[c] for c in self._codes[: self._len].tolist()]
+        masks = self._table.masks
+        return [masks[c] for c in self._codes[: self._len].tolist()]
 
     def rewards(self) -> list[float]:
         return self._rewards[: self._len].tolist()
 
     def values(self) -> np.ndarray:
         """The true value of every step's set, as a float64 array."""
-        return np.asarray(self._values, np.float64)[self._codes[: self._len]]
-
-    def mask_counts(self) -> Counter[int]:
-        """Pulls per mask, keyed in order of first pull."""
-        used, first, counts = np.unique(
-            self._codes[: self._len], return_index=True, return_counts=True
-        )
-        order = np.argsort(first)
-        out: Counter[int] = Counter()
-        for code, count in zip(used[order].tolist(), counts[order].tolist()):
-            out[self._masks[code]] += count
-        return out
-
-    def steps(self):
-        """Yield (t, ItemSet, reward) with t starting at 1."""
-        for t, (mask, r) in enumerate(zip(self.masks(), self.rewards()), start=1):
-            yield t, ItemSet(mask), r
+        return self._table.values[self._codes[: self._len]]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -112,13 +83,6 @@ class Trajectory:
         for t, (mask, r) in enumerate(zip(self.masks(), self.rewards()), start=1):
             writer.writerow([t, render_mask(mask), f"{r:.17g}"])
         return buf.getvalue()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Trajectory)
-            and self.masks() == other.masks()
-            and self.rewards() == other.rewards()
-        )
 
 
 class BanditEnv:
@@ -138,27 +102,5 @@ class BanditEnv:
         return len(self.trajectory)
 
     def fill_noise(self, out: np.ndarray) -> None:
-        """Fill ``out`` with the next ``out.size`` noise values, the ones that
-        as many single pulls would consume."""
+        """Fill ``out`` with the next ``out.size`` noise values, one per pull."""
         self._rng.standard_normal(out=out)
-
-    def pull(self, items: ItemSet) -> float:
-        """Pull a set: observe its value plus Gaussian noise, record the step."""
-        mask = items.mask
-        value = self.spec.value_of_mask(mask)
-        reward = value + self.sigma * float(self._rng.standard_normal())
-        self.trajectory.append(mask, value, reward)
-        return reward
-
-    @property
-    def pull_counts(self) -> Counter[ItemSet]:
-        """Pulls per set, counted from the trajectory; the pull profile
-        ``analysis.kl_between`` takes."""
-        return Counter({ItemSet(mask): c for mask, c in self.trajectory.mask_counts().items()})
-
-    def counts_by_cardinality(self) -> dict[int, int]:
-        """Total pulls per set size; values sum to t."""
-        out: dict[int, int] = {}
-        for mask, count in self.trajectory.mask_counts().items():
-            out[mask.bit_count()] = out.get(mask.bit_count(), 0) + count
-        return out

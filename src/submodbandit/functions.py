@@ -230,12 +230,16 @@ class WeightedCover(SetFunction):
 class _Harmonic(SetFunction):
     """What the two harmonic families share: the checks 1 <= k <= n and
     0 < delta < inf, k_max = k, the level table ``_base[s]`` =
-    H_{s+k} - H_k for s = 0..k, and the bulk fill of a feasible-set table.
-    Each subclass is a dataclass with fields n, k and delta, and gives the
-    gap ``_gap(s)`` of a set of size s off the prefix chain."""
+    H_{s+k} - H_k for s = 0..k, and the values.  Each subclass is a dataclass
+    with fields n, k and delta, and gives the gap ``_gap(s)`` of a set of
+    size s off the prefix chain.  A set of the planted chain
+    ``_chain_masks`` (size -> mask; none but on an elevated instance) is
+    worth _base[s] + _gap(s), a prefix set {0, ..., s-1} _base[s], and any
+    other set of size s _base[s] - _gap(s)."""
 
     k: int
     delta: float
+    _chain_masks: Mapping[int, int] = {}
 
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
@@ -253,9 +257,18 @@ class _Harmonic(SetFunction):
     def k_max(self) -> int:
         return self.k
 
+    def _value(self, mask: int) -> float:
+        s = mask.bit_count()
+        base = self._base[s]
+        if self._chain_masks.get(s) == mask:
+            return base + self._gap(s)
+        if mask == (1 << s) - 1:
+            return base
+        return base - self._gap(s)
+
     def _values(self, masks: tuple[int, ...], k: int) -> np.ndarray:
         # each level is worth _base[s] - _gap(s) but for its first set, the
-        # prefix {0, ..., s-1}, worth _base[s]
+        # prefix {0, ..., s-1}; the planted chain wins over the prefix
         values = np.empty(len(masks))
         lo = 0
         for s in range(k + 1):
@@ -263,6 +276,11 @@ class _Harmonic(SetFunction):
             values[lo:hi] = self._base[s] - self._gap(s)
             values[lo] = self._base[s]
             lo = hi
+        for s, planted in self._chain_masks.items():
+            if s <= k:
+                lo = feasible_count(self.n, s - 1)
+                rank = masks.index(planted, lo, lo + math.comb(self.n, s))
+                values[rank] = self._base[s] + self._gap(s)
         return values
 
 
@@ -281,13 +299,6 @@ class UniqueGreedyPath(_Harmonic):
 
     def _gap(self, s: int) -> float:
         return self.delta
-
-    def _value(self, mask: int) -> float:
-        s = mask.bit_count()
-        base = self._base[s]
-        if mask == (1 << s) - 1:
-            return base
-        return base - self._gap(s)
 
     def to_json(self) -> dict:
         return {
@@ -349,27 +360,6 @@ class HarmonicInstance(_Harmonic):
 
     def _gap(self, s: int) -> float:
         return self.delta if s == self.k else self.delta / self.k
-
-    def _value(self, mask: int) -> float:
-        s = mask.bit_count()
-        base = self._base[s]
-        if self.tail is not None:
-            planted = self._chain_masks.get(s)
-            if planted is not None and mask == planted:
-                return base + self._gap(s)
-        if mask == (1 << s) - 1:
-            return base
-        return base - self._gap(s)
-
-    def _values(self, masks: tuple[int, ...], k: int) -> np.ndarray:
-        values = super()._values(masks, k)
-        if self.tail is not None:  # the planted chain wins over the prefix
-            for s, planted in self._chain_masks.items():
-                if s <= k:
-                    lo = feasible_count(self.n, s - 1)
-                    rank = masks.index(planted, lo, lo + math.comb(self.n, s))
-                    values[rank] = self._base[s] + self._gap(s)
-        return values
 
     def to_json(self) -> dict:
         doc = {

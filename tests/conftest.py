@@ -3,7 +3,8 @@
 ``masks_upto`` is the reference order of the feasible-set table: every mask
 of popcount <= k by size, then by sorted member tuple, straight from
 ``itertools.combinations``.  ``tabular_from_spec`` copies any spec into an
-explicit ``Tabular``.
+explicit ``Tabular``.  ``pull`` is one pull of a set, the step the
+one-pull-at-a-time reference engine ``naive_greedy_then_flat`` takes.
 
 The naive checkers quantify over every (A, B, a) triple straight from the
 definitions; they are deliberately independent of the package's vectorized
@@ -225,6 +226,20 @@ def pulled_sets_ok(traj, k: int) -> bool:
     return all(1 <= mask.bit_count() <= k for mask in traj.masks())
 
 
+def pull(env, items: ItemSet, k: int) -> float:
+    """One pull of ``items`` on ``env``, recorded as a policy run records its
+    steps: the set's true value plus the next noise value of the env's
+    stream, coded as the set's rank in the feasible-set table up to k.
+    Returns the reward."""
+    value = env.spec.value_of_mask(items.mask)
+    z = np.empty(1)
+    env.fill_noise(z)
+    reward = value + env.sigma * float(z[0])
+    table = value_table(env.spec, k)
+    env.trajectory.extend(table, [table.masks.index(items.mask)], [reward])
+    return reward
+
+
 def naive_greedy_then_flat(env, k: int, T: int, l: int, m, uniform: bool) -> list:
     """The policies' two phases on one env, one ``pull`` at a time: l
     greedy levels (uniform or optimistic), then the index loop over the
@@ -235,7 +250,7 @@ def naive_greedy_then_flat(env, k: int, T: int, l: int, m, uniform: bool) -> lis
         for j in np.flatnonzero(counts == 0).tolist():
             if env.t >= T:
                 return None
-            sums[j] += env.pull(ItemSet(arms[j]))
+            sums[j] += pull(env, ItemSet(arms[j]), k)
             counts[j] += 1.0
         while True:
             j = int(np.argmax(sums / counts + np.sqrt(8.0 * math.log(env.t) / counts)))
@@ -243,7 +258,7 @@ def naive_greedy_then_flat(env, k: int, T: int, l: int, m, uniform: bool) -> lis
                 return j
             if env.t >= T:
                 return None
-            sums[j] += env.pull(ItemSet(arms[j]))
+            sums[j] += pull(env, ItemSet(arms[j]), k)
             counts[j] += 1.0
 
     levels, base = [], 0
@@ -255,7 +270,7 @@ def naive_greedy_then_flat(env, k: int, T: int, l: int, m, uniform: bool) -> lis
                 for _ in range(m):
                     if env.t >= T:
                         return levels
-                    sums[j] += env.pull(ItemSet(arm))
+                    sums[j] += pull(env, ItemSet(arm), k)
             counts[:] = m
         j = int(np.argmax(sums / m)) if uniform else index_loop(arms, m, counts, sums)
         if j is None:

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import enumerate_chain_costs, random_monotone_submodular
+from conftest import enumerate_chain_costs, pull, random_monotone_submodular
 from submodbandit import (
     BanditEnv,
     ItemSet,
@@ -35,9 +35,9 @@ from submodbandit import (
     i_star,
     kl_between,
     minimax_lower_bound,
-    regret_report,
     subucb_regret_bound,
 )
+from submodbandit.analysis import RegretMeter
 from submodbandit.catalog import (
     HARMONIC_GRID,
     experiment_cover,
@@ -168,16 +168,18 @@ def test_criterion_4_regret_identity():
         spec = random_monotone_submodular(4000 + idx, n=n, k=k)
         env = BanditEnv(spec, 1.0, int(rng.integers(0, 2**32)))
         T = int(rng.integers(50, 300))
+        cps = [t for t in (1, 2, 4, 8, 16, 32, T) if t <= T]
+        summary = benchmark_summary(spec, k)
+        env.trajectory = RegretMeter(summary, cps)
+        values = []
         for _ in range(T):
             size = int(rng.integers(1, k + 1))
-            items = rng.choice(n, size=size, replace=False)
-            env.pull(ItemSet.of(int(a) for a in items))
-        cps = [t for t in (1, 2, 4, 8, 16, 32, T) if t <= T]
-        rep = regret_report(env, benchmark_summary(spec, k), cps)
-        values = [spec.value_of_mask(m) for m in env.trajectory.masks()]
-        for row in rep.checkpoints:
+            items = ItemSet.of(int(a) for a in rng.choice(n, size=size, replace=False))
+            pull(env, items, k)
+            values.append(spec.value_of_mask(items.mask))
+        for row in env.trajectory.rows:
             cum = sum(values[: row.t], 0.0)
-            worst = max(worst, abs(row.regret_gr + cum - row.t * rep.benchmark))
+            worst = max(worst, abs(row.regret_gr + cum - row.t * summary.benchmark))
     ok = worst <= 1e-9
     report("4 regret-identity", ok)
     assert ok, f"worst identity deviation {worst}"

@@ -1,13 +1,15 @@
 import copy
 import math
 import pickle
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_monotone_submodular
+from conftest import pull, random_monotone_submodular
 from submodbandit import (
     BanditEnv,
     HarmonicInstance,
@@ -21,7 +23,6 @@ from submodbandit import (
     i_star,
     kl_between,
     minimax_lower_bound,
-    regret_report,
     subucb_regret_bound,
 )
 from submodbandit.analysis import RegretMeter
@@ -105,14 +106,21 @@ def test_compute_bounds_sheet():
     assert doc["lower_bound"] == sheet.lower_bound
 
 
+def _metered(spec, sigma, seed, k, checkpoints, pulls):
+    """The rows of a ``RegretMeter`` that records ``pulls`` as an env's trajectory."""
+    env = BanditEnv(spec, sigma, seed)
+    env.trajectory = RegretMeter(benchmark_summary(spec, k), checkpoints)
+    for items in pulls:
+        pull(env, items, k)
+    return env.trajectory.rows
+
+
 def test_regret_report_optimal_play():
     spec = harmonic_base(6, 2)
-    env = BanditEnv(spec, 0.0, 0)
-    summary = benchmark_summary(spec, 2)
-    for _ in range(50):
-        env.pull(summary.opt_set)
-    rep = regret_report(env, summary, [1, 2, 50])
-    for row in rep.checkpoints:
+    opt_set = benchmark_summary(spec, 2).opt_set
+    rows = _metered(spec, 0.0, 0, 2, [1, 2, 50], [opt_set] * 50)
+    assert [row.t for row in rows] == [1, 2, 50]
+    for row in rows:
         assert row.regret_opt == pytest.approx(0.0, abs=1e-12)
         assert row.regret_alpha <= row.regret_opt + 1e-12
 
@@ -121,38 +129,33 @@ def test_regret_report_constant_play_identity():
     spec = harmonic_base(6, 2)
     env = BanditEnv(spec, 0.0, 0)
     S = ItemSet.of([0, 2])
-    for _ in range(100):
-        env.pull(S)
-    rep = regret_report(env, benchmark_summary(spec, 2), [100])
+    (row,) = _metered(spec, 0.0, 0, 2, [100], [S] * 100)
     B = greedy_benchmark(spec, 2).value
-    row = rep.checkpoints[0]
-    assert rep.benchmark == pytest.approx(B, abs=1e-15)
+    assert benchmark_summary(spec, 2).benchmark == pytest.approx(B, abs=1e-15)
     assert row.regret_gr == pytest.approx(100 * (B - evaluate(spec, S)), abs=1e-9)
     assert row.regret_gr + row.cum_reward == pytest.approx(100 * B, abs=1e-9)
 
 
 def test_regret_report_alpha_below_opt():
     spec = random_monotone_submodular(5, n=6, k=3)
-    env = BanditEnv(spec, 1.0, 9)
-    for _ in range(64):
-        env.pull(ItemSet.of([0]))
-    rep = regret_report(env, benchmark_summary(spec, 3), [1, 2, 4, 8, 16, 32, 64])
-    for row in rep.checkpoints:
+    rows = _metered(spec, 1.0, 9, 3, [1, 2, 4, 8, 16, 32, 64], [ItemSet.of([0])] * 64)
+    assert len(rows) == 7
+    for row in rows:
         assert row.regret_alpha <= row.regret_opt + 1e-12
 
 
 def test_regret_report_empty_checkpoints_and_errors():
+    # no checkpoints give no rows, and a checkpoint past the pulls so far
+    # gives its row only once the run reaches it
     spec = harmonic_base(6, 2)
+    assert _metered(spec, 0.0, 0, 2, [], [ItemSet.of([0])]) == []
     env = BanditEnv(spec, 0.0, 0)
-    env.pull(ItemSet.of([0]))
-    summary = benchmark_summary(spec, 2)
-    rep = regret_report(env, summary, [])
-    assert rep.checkpoints == ()
-    assert rep.f_star > 0
-    with pytest.raises(ValueError, match=r"checkpoints must lie in \[1, 1\]; got 2\.\.2"):
-        regret_report(env, summary, [2])
-    with pytest.raises(ValueError, match=r"checkpoints must lie in \[1, 1\]; got 0\.\.0"):
-        regret_report(env, summary, [0])
+    env.trajectory = meter = RegretMeter(benchmark_summary(spec, 2), [2])
+    pull(env, ItemSet.of([0]), 2)
+    assert meter.rows == [] and len(meter) == 1
+    pull(env, ItemSet.of([1]), 2)
+    assert [row.t for row in meter.rows] == [2]
+    assert meter.rows[0].cum_reward == spec.value_of_mask(0b1) + spec.value_of_mask(0b10)
 
 
 @settings(deadline=None)
@@ -161,16 +164,18 @@ def test_regret_report_empty_checkpoints_and_errors():
     st.data(),
 )
 def test_regret_meter_cut_anywhere_equals_one_piece(values, data):
-    # the running sum carries across pieces, so every checkpoint row is the
-    # same bit for bit however the values are cut
+    # the running sum carries across chunks, so every checkpoint row is the
+    # same bit for bit however the run is cut; a table stand-in holds the
+    # drawn values, and step i pulls its rank i
     summary = benchmark_summary(harmonic_base(6, 2), 2)
     values = np.array(values, dtype=float)
+    table, ranks, rewards = SimpleNamespace(values=values), np.arange(len(values)), np.zeros(len(values))
     cps = range(1, len(values) + 1)
     cuts = sorted(data.draw(st.lists(st.integers(0, len(values))), label="cuts"))
     whole, pieces = RegretMeter(summary, cps), RegretMeter(summary, cps)
-    whole.add(values)
+    whole.extend(table, ranks, rewards)
     for a, b in zip([0] + cuts, cuts + [len(values)]):
-        pieces.add(values[a:b])
+        pieces.extend(table, ranks[a:b], rewards[a:b])
 
     def bits(meter):
         return [
@@ -192,8 +197,9 @@ def test_kl_basics():
         200 * diff**2 / 2, abs=1e-15
     )
     assert kl_between(h0, h0, {ItemSet.of([0, 1]): 500}, 1.0) == 0.0
-    with pytest.raises(ValueError, match="sigma must be positive; got 0.0"):
-        kl_between(h0, h1, counts, 0.0)
+    for sigma in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"sigma must be finite and positive; got {sigma}"):
+            kl_between(h0, h1, counts, sigma)
     with pytest.raises(ValueError, match="counts must be nonnegative"):
         kl_between(h0, h1, {ItemSet.of([2]): -1}, 1.0)
 
@@ -256,7 +262,8 @@ def test_kl_under_a_policy_pull_profile():
         for mask in env.trajectory.masks()
     )
     assert per_pull > 0.0
-    assert kl_between(h0, h1, env.pull_counts, 1.0) == pytest.approx(per_pull, rel=1e-12)
+    profile = Counter(map(ItemSet, env.trajectory.masks()))
+    assert kl_between(h0, h1, profile, 1.0) == pytest.approx(per_pull, rel=1e-12)
 
 def test_benchmark_summary_cached():
     spec = harmonic_base(9, 3)

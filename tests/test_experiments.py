@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import random_monotone_submodular, tabular_from_spec
 from submodbandit import __version__, experiments, lockstep
-from submodbandit.analysis import benchmark_summary, regret_report
+from submodbandit.analysis import RegretMeter, benchmark_summary
 from submodbandit.catalog import experiment_cover, harmonic_base, harmonic_elevated
 from submodbandit.envs import BanditEnv
 from submodbandit.errors import ConfigError, GroundSetTooLarge
@@ -370,9 +370,11 @@ def test_policies_with_one_program_share_a_batch_and_keep_their_solo_lines(
             envs = [
                 BanditEnv(cfg.function, 1.0, derive_seed(7, p_idx, T, trial)) for trial in range(3)
             ]
+            for env in envs:
+                env.trajectory = RegretMeter(summary, checkpoint_grid("log", T))
             policy.run_batch(envs, cfg.k, T)
             for trial, env in enumerate(envs):
-                for row in regret_report(env, summary, checkpoint_grid("log", T)).checkpoints:
+                for row in env.trajectory.rows:
                     expected.append(
                         f"{policy.label},{T},{trial},{env.seed},{row.t},"
                         f"{row.cum_reward:.17g},{row.regret_opt:.17g},"

@@ -1,4 +1,5 @@
-"""The package's import graph: every import at module level, and no cycle."""
+"""The package's import graph: every import at module level and used, and no
+cycle."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -22,6 +23,24 @@ def test_no_import_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom)):
                         found.add(f"{name}.py:{node.lineno} in {func.name}")
     assert sorted(found) == []
+
+
+def test_every_module_import_is_used():
+    # an import left unused is the trace of a half-removed member
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__":
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}.py:{node.lineno} {bound}")
+    assert unused == []
 
 
 def test_package_exports_exactly_what_it_imports():
